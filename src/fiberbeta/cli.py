@@ -31,7 +31,7 @@ from .fiber import HorizontalIncidence, validate
 from .invariants import beta_closed, beta_direct, semipositivity_certificate
 from .linalg import build_laplacian, effective_resistance, pseudoinverse
 from .logsum import FormalLogSum, evaluate
-from .rationals import format_rat, rat
+from .rationals import format_rat, parse_int, rat
 
 COMPUTE_OPS = ("beta", "vdiv", "udiv", "resistance", "semipos")
 
@@ -183,7 +183,7 @@ def cmd_evaluate(args) -> int:
     if isinstance(raw, bytes):
         raw = raw.decode("utf-8")
     try:
-        data = json.loads(raw)
+        data = json.loads(raw, parse_int=parse_int)
     except json.JSONDecodeError as exc:
         raise MalformedInput(f"invalid log-sum JSON: {exc.msg}") from exc
     if not isinstance(data, dict):

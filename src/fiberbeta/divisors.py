@@ -26,7 +26,7 @@ from dataclasses import dataclass
 
 from .errors import DegreeMismatch, FiberMismatch, MalformedInput, NonpositiveDegree
 from .fiber import HorizontalIncidence, SpecialFiber, unit_incidence
-from .linalg import PseudoinverseResult
+from .linalg import PseudoinverseResult, _laplacian_row_dot
 from .rationals import Rat, ZERO, rat
 
 
@@ -74,18 +74,6 @@ def _same_fiber(a: SpecialFiber, b: SpecialFiber) -> None:
         raise FiberMismatch(f"operands live on {a.name!r} and {b.name!r}")
 
 
-def _pair_coeffs(fiber: SpecialFiber, y, z) -> Rat:
-    """sum_ij y_i z_j (Gamma_i . Gamma_j) using only stored nonzeros."""
-    total = ZERO
-    for i, comp in enumerate(fiber.components):
-        if y[i] != 0 and z[i] != 0:
-            total += y[i] * z[i] * comp.self_intersection
-    for a, b, v in fiber.intersections:
-        i, j = fiber.index[a], fiber.index[b]
-        total += (y[i] * z[j] + y[j] * z[i]) * v
-    return total
-
-
 def _component_pairings(fiber: SpecialFiber, y) -> list:
     """(V . Gamma_i) for V = sum y_j Gamma_j, all i at once."""
     out = [y[i] * fiber.components[i].self_intersection for i in range(fiber.r)]
@@ -96,10 +84,27 @@ def _component_pairings(fiber: SpecialFiber, y) -> list:
     return out
 
 
-def _weight_vector(fiber: SpecialFiber, v, degree) -> list:
-    q = fiber.normalized_degrees
-    b = fiber.multiplicities
-    return [degree * rat(b[i]) * q[i] - v[i] for i in range(fiber.r)]
+def _incidence_vector(fiber: SpecialFiber, D: HorizontalIncidence) -> list:
+    """D's incidence entries in fiber order, checked to sum to deg(D)."""
+    v = D.vector(fiber)
+    total = sum(v, ZERO)
+    if total != D.degree:
+        raise DegreeMismatch(
+            f"incidence of {D.id!r} sums to {total}, declared degree {D.degree}"
+        )
+    return v
+
+
+def _degree_vector(fiber: SpecialFiber) -> list:
+    """q_i = b_i a'_i: the canonical part of every weight vector d q - v."""
+    return [rat(b) * a for b, a in zip(fiber.multiplicities, fiber.normalized_degrees)]
+
+
+def _degree_form(fiber: SpecialFiber, P: PseudoinverseResult) -> tuple:
+    """(z, sigma) with z = M+ q and sigma = q' M+ q for q = b * a'."""
+    q = _degree_vector(fiber)
+    z = P.mplus.matvec(q)
+    return z, sum((qi * zi for qi, zi in zip(q, z)), ZERO)
 
 
 def solve_vertical(
@@ -111,12 +116,8 @@ def solve_vertical(
     declared degree; the defining system is unsolvable in that case.
     The defining property is re-checked exactly before returning.
     """
-    v = D.vector(fiber)
-    if sum(v, ZERO) != D.degree:
-        raise DegreeMismatch(
-            f"incidence of {D.id!r} sums to {sum(v, ZERO)}, declared degree {D.degree}"
-        )
-    w = _weight_vector(fiber, v, D.degree)
+    v = _incidence_vector(fiber, D)
+    w = [D.degree * qi - vi for qi, vi in zip(_degree_vector(fiber), v)]
     c = [-x for x in P.mplus.matvec(w)]
     b = fiber.multiplicities
     divisor = VerticalDivisor(fiber, tuple(rat(b[i]) * c[i] for i in range(fiber.r)))
@@ -138,7 +139,8 @@ def phi(fiber: SpecialFiber, P: PseudoinverseResult, Z: HorizontalIncidence) -> 
 def pair_vertical(V: VerticalDivisor, W: VerticalDivisor) -> Rat:
     """Intersection pairing of two vertical divisors on the same fiber."""
     _same_fiber(V.fiber, W.fiber)
-    return _pair_coeffs(V.fiber, V.coefficients, W.coefficients)
+    wp = _component_pairings(W.fiber, W.coefficients)
+    return sum((y * p for y, p in zip(V.coefficients, wp) if y != 0), ZERO)
 
 
 def pair_with_component(V: VerticalDivisor, i: int) -> Rat:
@@ -168,16 +170,9 @@ def gamma_u(
     """
     if D.degree <= 0:
         raise NonpositiveDegree(f"gamma_u needs positive degree, got {D.degree}")
-    v = D.vector(fiber)
-    if sum(v, ZERO) != D.degree:
-        raise DegreeMismatch(
-            f"incidence of {D.id!r} sums to {sum(v, ZERO)}, declared degree {D.degree}"
-        )
+    v = _incidence_vector(fiber, D)
     d = D.degree
-    b = fiber.multiplicities
-    q = [rat(b[i]) * fiber.normalized_degrees[i] for i in range(fiber.r)]
-    z = P.mplus.matvec(q)
-    sigma = sum((q[i] * z[i] for i in range(fiber.r)), ZERO)
+    z, sigma = _degree_form(fiber, P)
     v_dot_z = sum((v[i] * z[i] for i in range(fiber.r) if v[i] != 0), ZERO)
     mv = P.mplus.matvec(v)
     base = -d * sigma + 2 * v_dot_z
@@ -221,12 +216,7 @@ def u_dot_component_closed(
     if D.degree != 1:
         raise DegreeMismatch(f"closed form needs degree 1, got {D.degree}")
     v = D.vector(fiber)
-    diag = P.mplus.diagonal()
-    b = fiber.multiplicities
-    # -sum_j n_jj m_ij over the sparse row i of M, rebuilt from the fiber
-    s = diag[i] * rat(b[i] * b[i]) * fiber.components[i].self_intersection
-    for j in fiber.neighbors[i]:
-        s += diag[j] * rat(b[i] * b[j]) * fiber.pair_value(i, j)
+    s = -_laplacian_row_dot(fiber, i, P.mplus.diagonal())
     return s + 2 * v[i] - rat(2, fiber.r)
 
 

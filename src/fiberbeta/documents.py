@@ -21,7 +21,7 @@ from typing import Mapping, Tuple
 
 from .errors import ExactnessError, MalformedInput, SchemaError
 from .fiber import Component, HorizontalIncidence, SpecialFiber
-from .rationals import Rat, format_rat, rat
+from .rationals import Rat, format_rat, parse_int, rat
 
 SCHEMA_VERSION = 1
 
@@ -90,6 +90,7 @@ def parse_fiber(document) -> Tuple[SpecialFiber, dict]:
         data = json.loads(
             document,
             parse_float=_reject_float,
+            parse_int=parse_int,
             parse_constant=_reject_constant,
             object_pairs_hook=_no_duplicate_keys,
         )

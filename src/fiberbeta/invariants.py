@@ -19,16 +19,21 @@ from dataclasses import dataclass
 from typing import Optional
 
 from .divisors import (
-    GammaVector,
     VerticalDivisor,
     _component_pairings,
+    _degree_form,
     gamma_u,
     pair_vertical,
     solve_vertical,
 )
 from .errors import DegreeMismatch, FiberMismatch, NotReduced
 from .fiber import HorizontalIncidence, SpecialFiber
-from .linalg import PseudoinverseResult, effective_resistance
+from .linalg import (
+    PseudoinverseResult,
+    _laplacian_row,
+    _laplacian_row_dot,
+    effective_resistance,
+)
 from .rationals import Rat, ZERO, rat
 
 
@@ -111,14 +116,9 @@ def beta_closed(fiber: SpecialFiber, P: PseudoinverseResult) -> BetaReport:
     diag = mp.diagonal()
     a = fiber.canonical_degrees
     # sum_ij n_ii n_jj m_ij = diag' M diag through the sparse rows of M
-    b = fiber.multiplicities
-    md = []
-    for i in range(n):
-        s = diag[i] * rat(b[i] * b[i]) * (-fiber.components[i].self_intersection)
-        for j in fiber.neighbors[i]:
-            s += diag[j] * (-rat(b[i] * b[j]) * fiber.pair_value(i, j))
-        md.append(s)
-    quad_mm = sum((diag[i] * md[i] for i in range(n)), ZERO)
+    quad_mm = sum(
+        (diag[i] * _laplacian_row_dot(fiber, i, diag) for i in range(n)), ZERO
+    )
     mpa = mp.matvec(list(a))
     quad_aa = sum((a[i] * mpa[i] for i in range(n)), ZERO)
     lin = sum((a[i] * diag[i] for i in range(n)), ZERO)
@@ -143,13 +143,10 @@ def u_dot_k_closed(fiber: SpecialFiber, P: PseudoinverseResult) -> Rat:
         raise NotReduced(
             f"(U.K) closed form needs a reduced fiber; {fiber.name!r} is not"
         )
-    n = fiber.r
-    q = [rat(fiber.multiplicities[i]) * fiber.normalized_degrees[i] for i in range(n)]
-    z = P.mplus.matvec(q)
-    sigma = sum((q[i] * z[i] for i in range(n)), ZERO)
+    z, sigma = _degree_form(fiber, P)
     a = fiber.canonical_degrees
     total = ZERO
-    for i in range(n):
+    for i in range(fiber.r):
         vi_sq = -(sigma - 2 * z[i] + P.entry(i, i))
         total -= vi_sq * a[i]
     return total
@@ -179,15 +176,13 @@ def semipositivity_certificate(
         d_free_list = []
         margin_list = []
         for i in range(n):
-            m_ii = -fiber.components[i].self_intersection
-            s = diag[i] * m_ii
-            margin = m_ii  # + sum_j r(i,j) m_ij over the dual-graph edges
-            for j in fiber.neighbors[i]:
-                m_ij = -fiber.pair_value(i, j)
-                s += diag[j] * m_ij
-                margin += effective_resistance(P, i, j) * m_ij
+            (_, m_ii), *edges = _laplacian_row(fiber, i)
+            s = _laplacian_row_dot(fiber, i, diag)
             d_free_list.append(m_ii + 2 * fiber.components[i].genus - 2 + s + rat(2, n))
-            margin_list.append(margin)
+            # m_ii + sum_j r(i,j) m_ij over the dual-graph edges
+            margin_list.append(
+                m_ii + sum((effective_resistance(P, i, j) * m for j, m in edges), ZERO)
+            )
         d_free = tuple(d_free_list)
         margins = tuple(margin_list)
     return SemipositivityCertificate(

@@ -14,7 +14,7 @@ import numbers
 import re
 from fractions import Fraction
 
-from .errors import ExactnessError, MalformedInput
+from .errors import ExactnessError, MalformedInput, SchemaError
 
 try:
     from gmpy2 import mpq as _mpq
@@ -40,6 +40,8 @@ def rat(value, denominator=None) -> Rat:
         if denominator == 0:
             raise MalformedInput("zero denominator")
         return _mpq(rat(value)) / _mpq(rat(denominator))
+    if type(value) is _mpq:
+        return value  # already in lowest terms
     if isinstance(value, bool):
         raise MalformedInput("boolean is not a rational")
     if isinstance(value, numbers.Rational):
@@ -51,11 +53,23 @@ def rat(value, denominator=None) -> Rat:
         if not _RAT_RE.match(text):
             raise ExactnessError(f"not an exact rational literal: {value!r}")
         num, _, den = text.partition("/")
-        d = int(den) if den else 1
+        d = parse_int(den) if den else 1
         if d == 0:
             raise MalformedInput(f"zero denominator in {value!r}")
-        return _mpq(int(num), d)
+        return _mpq(parse_int(num), d)
     raise MalformedInput(f"cannot interpret {value!r} as a rational")
+
+
+def parse_int(text: str) -> int:
+    """int(text), with Python's integer-string digit limit as a SchemaError.
+
+    Also the parse_int hook for json.loads, so an oversized JSON integer
+    fails as bad input instead of a bare ValueError.
+    """
+    try:
+        return int(text)
+    except ValueError:
+        raise SchemaError(f"integer literal of {len(text)} characters is too long") from None
 
 
 def format_rat(x: Rat) -> str:
@@ -63,7 +77,3 @@ def format_rat(x: Rat) -> str:
     if x.denominator == 1:
         return str(x.numerator)
     return f"{x.numerator}/{x.denominator}"
-
-
-def to_fraction(x: Rat) -> Fraction:
-    return Fraction(x.numerator, x.denominator)

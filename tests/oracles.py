@@ -16,6 +16,7 @@ inner loops multiply plain integers.
 
 from __future__ import annotations
 
+import itertools
 import math
 import random
 from fractions import Fraction
@@ -124,6 +125,35 @@ def fraction_inverse(rows):
                 a[r] = [x - f * y for x, y in zip(a[r], a[col])]
                 inv[r] = [x - f * y for x, y in zip(inv[r], inv[col])]
     return inv
+
+
+def fraction_det(rows):
+    """Exact determinant by Gaussian elimination over Fraction."""
+    a = [[Fraction(x) for x in row] for row in rows]
+    n = len(a)
+    det = Fraction(1)
+    for col in range(n):
+        piv = next((r for r in range(col, n) if a[r][col] != 0), None)
+        if piv is None:
+            return Fraction(0)
+        if piv != col:
+            a[col], a[piv] = a[piv], a[col]
+            det = -det
+        det *= a[col][col]
+        for r in range(col + 1, n):
+            f = a[r][col] / a[col][col]
+            a[r] = [x - f * y for x, y in zip(a[r], a[col])]
+    return det
+
+
+def psd_by_principal_minors(rows) -> bool:
+    """A symmetric matrix is PSD iff every principal minor is >= 0."""
+    n = len(rows)
+    return all(
+        fraction_det([[rows[i][j] for j in subset] for i in subset]) >= 0
+        for size in range(1, n + 1)
+        for subset in itertools.combinations(range(n), size)
+    )
 
 
 def bordered_pseudoinverse(M: fb.RatMatrix):

@@ -1,3 +1,4 @@
+import hashlib
 import json
 
 import pytest
@@ -79,12 +80,22 @@ def test_every_info_row_carries_an_exact_delta():
                 assert r.expected and r.computed, (suite, r.label)
 
 
+# SHA-256 of each suite's text report; any change to a report byte shows here
+AUDIT_SHA256 = {
+    "table1": "3cf3ad4d03c24fbb0941df04e754fbea3a88069f2fa4cdd18cf4fc0cac15fae7",
+    "fermat": "134495a7dfa02566115c64101933762876771695275d68fae46684690d088a5a",
+    "x1n": "2573fdb8831b2fcee549debaca1f4fbdc6d5a1b2bb70c78d8b67d8fc86bbfa12",
+}
+
+
 def test_reports_are_byte_deterministic():
     for suite in ("table1", "fermat", "x1n"):
         a = fb.audit(suite)
         b = fb.audit(suite)
         assert a.to_text() == b.to_text()
         assert a.to_json() == b.to_json()
+        digest = hashlib.sha256(a.to_text().encode("utf-8")).hexdigest()
+        assert digest == AUDIT_SHA256[suite], suite
 
 
 def test_json_mirror_matches_rows():

@@ -95,6 +95,29 @@ def test_float_document_rejected(tmp_path, capsys):
     assert "rejected" in err
 
 
+def test_oversized_integer_literals_exit_one(tmp_path, capsys):
+    big = "7" * 5000
+    text = fb.serialize_fiber(fb.banana(1, 1, 1))
+    bare = tmp_path / "bare.json"
+    bare.write_text(text.replace('"value": 1', f'"value": {big}'), encoding="utf-8")
+    quoted = tmp_path / "quoted.json"
+    quoted.write_text(
+        text.replace('"self_intersection": -1', f'"self_intersection": "-1/{big}"', 1),
+        encoding="utf-8",
+    )
+    for doc, path in ((bare, ""), (quoted, "components[0].self_intersection: ")):
+        for command in ("validate", "compute"):
+            code, out, err = run(capsys, command, str(doc))
+            assert code == 1 and out == ""
+            assert err == f"error: {path}integer literal of 5000 characters is too long\n"
+    logsum = tmp_path / "sum.json"
+    for value in (big, f'"1/{big}"'):
+        logsum.write_text(f'{{"5": {value}}}', encoding="utf-8")
+        code, _, err = run(capsys, "evaluate", str(logsum), "--digits", "4")
+        assert code == 1
+        assert err == "error: integer literal of 5000 characters is too long\n"
+
+
 def test_audit_cli(tmp_path, capsys):
     out_path = tmp_path / "report.txt"
     json_path = tmp_path / "report.json"

@@ -81,6 +81,17 @@ def test_schema_errors_carry_paths():
         fb.parse_fiber(json.dumps(doc))
 
 
+def test_oversized_integer_literals_are_schema_errors():
+    # int() refuses strings longer than the interpreter's digit limit
+    # (4300 digits by default); that must surface as bad input
+    big = "7" * 5000
+    with pytest.raises(SchemaError, match="integer literal of 5000 characters"):
+        fb.parse_fiber(BANANA_DOC.replace('"value": 1', f'"value": {big}'))
+    doc = BANANA_DOC.replace('"G1": "1/2"', f'"G1": "1/{big}"')
+    with pytest.raises(SchemaError, match=r"horizontal\[1\]\.incidence\['G1'\]: integer literal"):
+        fb.parse_fiber(doc)
+
+
 def test_round_trip_canonicalizes():
     fiber, horizontals = fb.parse_fiber(BANANA_DOC)
     text = fb.serialize_fiber(fiber, horizontals)

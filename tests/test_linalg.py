@@ -1,3 +1,6 @@
+import collections
+import random
+
 import numpy as np
 import pytest
 
@@ -8,6 +11,7 @@ from oracles import (
     assert_penrose_sparse,
     bordered_pseudoinverse,
     object_matrix,
+    psd_by_principal_minors,
     spectral_pinv,
 )
 
@@ -60,6 +64,17 @@ def test_pseudoinverse_preconditions():
     )
     with pytest.raises(SingularBeyondKernel):
         fb.pseudoinverse(disconnected)
+
+
+def test_pseudoinverse_pivots_past_a_zero_diagonal():
+    # symmetric, zero row sums, rank r-1, but not a Laplacian: the grounded
+    # minor [[0, 1], [1, -1]] is nonsingular although its first diagonal
+    # entry is zero, so the elimination must pivot on index 1 first.
+    # M^2 = 3I - J, hence M+ = M/3.
+    M = RatMatrix([[0, 1, -1], [1, -1, 0], [-1, 0, 1]])
+    P = fb.pseudoinverse(M)
+    assert P.mplus.entries == tuple(tuple(x / 3 for x in row) for row in M.entries)
+    assert P.rank == 2
 
 
 def test_penrose_axioms_exact(banana111, fermat72):
@@ -153,6 +168,36 @@ def test_psd_certificate_examples(banana111):
     indefinite = fb.psd_certificate(RatMatrix([[0, 1], [1, 0]]))
     assert not indefinite.is_psd
     assert "indefinite" in indefinite.witness
+
+
+def test_psd_certificate_matches_principal_minor_oracle():
+    # seeded small symmetric integer matrices: random ones (often
+    # indefinite), random ones with a zero diagonal, and B B^t of rank
+    # k <= n (psd, singular when k < n)
+    rng = random.Random(20261018)
+    outcomes = collections.Counter()
+    for t in range(600):
+        n = rng.randint(1, 6)
+        if t % 3 == 2:
+            k = rng.randint(1, n)
+            b = [[rng.randint(-2, 2) for _ in range(k)] for _ in range(n)]
+            a = [[sum(x * y for x, y in zip(b[i], b[j])) for j in range(n)] for i in range(n)]
+        else:
+            zero_diagonal = t % 3 == 0
+            sparsity = rng.random()
+            a = [[0] * n for _ in range(n)]
+            for i in range(n):
+                for j in range(i if zero_diagonal else i + 1):
+                    if rng.random() >= sparsity:
+                        a[i][j] = a[j][i] = rng.randint(-3, 3)
+        cert = fb.psd_certificate(RatMatrix(a))
+        assert cert.is_psd == psd_by_principal_minors(a), a
+        assert bool(cert.witness) == (not cert.is_psd), a
+        if cert.is_psd:
+            outcomes["singular" if len(cert.pivots) < n else "definite"] += 1
+        else:
+            outcomes[cert.witness.split()[0]] += 1  # "indefinite" or "negative"
+    assert set(outcomes) == {"definite", "singular", "indefinite", "negative"}, outcomes
 
 
 def test_psd_certificate_on_catalog(battery):
