@@ -31,7 +31,7 @@ from .fiber import HorizontalIncidence, validate
 from .invariants import beta_closed, beta_direct, semipositivity_certificate
 from .linalg import build_laplacian, effective_resistance, pseudoinverse
 from .logsum import FormalLogSum, evaluate
-from .rationals import format_rat, parse_int, rat
+from .rationals import BACKEND, format_rat, parse_int, rat
 
 COMPUTE_OPS = ("beta", "vdiv", "udiv", "resistance", "semipos")
 
@@ -186,6 +186,8 @@ def cmd_evaluate(args) -> int:
         data = json.loads(raw, parse_int=parse_int)
     except json.JSONDecodeError as exc:
         raise MalformedInput(f"invalid log-sum JSON: {exc.msg}") from exc
+    except RecursionError:
+        raise MalformedInput("log-sum JSON nests arrays or objects too deeply") from None
     if not isinstance(data, dict):
         raise MalformedInput("log-sum document must be an object {prime: coefficient}")
     try:
@@ -201,7 +203,9 @@ def build_parser() -> argparse.ArgumentParser:
         prog="fiberbeta",
         description="Exact lower-bound invariants of special fibers of arithmetic surfaces.",
     )
-    parser.add_argument("--version", action="version", version=f"%(prog)s {__version__}")
+    parser.add_argument(
+        "--version", action="version", version=f"%(prog)s {__version__} ({BACKEND})"
+    )
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("validate", help="re-check a fiber document's hypotheses")

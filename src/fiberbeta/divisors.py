@@ -103,7 +103,7 @@ def _degree_vector(fiber: SpecialFiber) -> list:
 def _degree_form(fiber: SpecialFiber, P: PseudoinverseResult) -> tuple:
     """(z, sigma) with z = M+ q and sigma = q' M+ q for q = b * a'."""
     q = _degree_vector(fiber)
-    z = P.mplus.matvec(q)
+    z = P.solve(q)
     return z, sum((qi * zi for qi, zi in zip(q, z)), ZERO)
 
 
@@ -118,7 +118,7 @@ def solve_vertical(
     """
     v = _incidence_vector(fiber, D)
     w = [D.degree * qi - vi for qi, vi in zip(_degree_vector(fiber), v)]
-    c = [-x for x in P.mplus.matvec(w)]
+    c = [-x for x in P.solve(w)]
     b = fiber.multiplicities
     divisor = VerticalDivisor(fiber, tuple(rat(b[i]) * c[i] for i in range(fiber.r)))
     pairings = _component_pairings(fiber, divisor.coefficients)
@@ -174,11 +174,10 @@ def gamma_u(
     d = D.degree
     z, sigma = _degree_form(fiber, P)
     v_dot_z = sum((v[i] * z[i] for i in range(fiber.r) if v[i] != 0), ZERO)
-    mv = P.mplus.matvec(v)
+    mv = P.solve(v)
+    diag = P.diag()
     base = -d * sigma + 2 * v_dot_z
-    gamma = tuple(
-        base - 2 * mv[i] + d * P.entry(i, i) for i in range(fiber.r)
-    )
+    gamma = tuple(base - 2 * mv[i] + d * diag[i] for i in range(fiber.r))
     return GammaVector(gamma=gamma, u_divisor=VerticalDivisor(fiber, gamma))
 
 
@@ -216,7 +215,7 @@ def u_dot_component_closed(
     if D.degree != 1:
         raise DegreeMismatch(f"closed form needs degree 1, got {D.degree}")
     v = D.vector(fiber)
-    s = -_laplacian_row_dot(fiber, i, P.mplus.diagonal())
+    s = -_laplacian_row_dot(fiber, i, P.diag())
     return s + 2 * v[i] - rat(2, fiber.r)
 
 

@@ -98,6 +98,8 @@ def parse_fiber(document) -> Tuple[SpecialFiber, dict]:
         raise
     except json.JSONDecodeError as exc:
         raise SchemaError(f"invalid JSON at line {exc.lineno} column {exc.colno}: {exc.msg}") from exc
+    except RecursionError:
+        raise SchemaError("document nests arrays or objects too deeply") from None
     if not isinstance(data, dict):
         raise SchemaError("top level: expected an object")
     _expect_keys(data, _TOP_KEYS, _TOP_KEYS - {"horizontal"}, "top level")

@@ -112,14 +112,13 @@ def beta_closed(fiber: SpecialFiber, P: PseudoinverseResult) -> BetaReport:
             f"closed beta formula needs a reduced fiber; {fiber.name!r} is not"
         )
     g, n = fiber.genus, fiber.r
-    mp = P.mplus
-    diag = mp.diagonal()
+    diag = P.diag()
     a = fiber.canonical_degrees
     # sum_ij n_ii n_jj m_ij = diag' M diag through the sparse rows of M
     quad_mm = sum(
         (diag[i] * _laplacian_row_dot(fiber, i, diag) for i in range(n)), ZERO
     )
-    mpa = mp.matvec(list(a))
+    mpa = P.solve(a)
     quad_aa = sum((a[i] * mpa[i] for i in range(n)), ZERO)
     lin = sum((a[i] * diag[i] for i in range(n)), ZERO)
     beta = (
@@ -145,9 +144,10 @@ def u_dot_k_closed(fiber: SpecialFiber, P: PseudoinverseResult) -> Rat:
         )
     z, sigma = _degree_form(fiber, P)
     a = fiber.canonical_degrees
+    diag = P.diag()
     total = ZERO
     for i in range(fiber.r):
-        vi_sq = -(sigma - 2 * z[i] + P.entry(i, i))
+        vi_sq = -(sigma - 2 * z[i] + diag[i])
         total -= vi_sq * a[i]
     return total
 
@@ -172,7 +172,7 @@ def semipositivity_certificate(
     margins = None
     if fiber.is_reduced:
         n = fiber.r
-        diag = P.mplus.diagonal()
+        diag = P.diag()
         d_free_list = []
         margin_list = []
         for i in range(n):

@@ -7,20 +7,33 @@ when the fiber is connected.  One sparse symmetric elimination,
 diagonal entries (fewest stored entries first, ties by index, so runs are
 bit-deterministic) and leaves behind the indices it could not pivot.
 
-`pseudoinverse` grounds the last vertex, eliminates the resulting minor
-(an index left over means rank below r-1), solves for every column of the
-grounded inverse G and projects M+ = (I - J/r) G (I - J/r).  Rather than
-trusting that this is the Moore-Penrose pseudoinverse, every call
-re-verifies the Penrose data exactly: symmetry, zero row sums,
-sum_j n_ij m_jk = delta_ik - 1/r, and the trace identity.  Together with
-zero row sums of M these identities force MM+M = M and M+MM+ = M+.
+`pseudoinverse` grounds the last vertex and factors the resulting minor
+as L D L^t (an index left over means rank below r-1).  It returns the
+factor, not a matrix: `PseudoinverseResult` offers M+ v by one replay of
+the factor (`solve`), and the diagonal and the entries on the edges of
+the dual graph (`diag`, `edge_entries`) by selected inversion, i.e. the
+Takahashi-Fagan-Chin recurrences over the factor's filled pattern
+(Erisman-Tinney, CACM 18(3), 1975).  Each piece carries an exact
+certificate that costs about as much as the work it checks:
+
+- the factor: L D L^t equals the grounded M entry for entry;
+- the selected inverse: the Takahashi equations hold on its pattern;
+- every solve: the residual M x = v - mean(v) 1 is zero and sum(x) = 0;
+- the edge entries: Foster's identity sum_edges -m_ij r(i, j) = r - 1.
+
+The dense r x r M+ is built only when a caller reads all of it (`mplus`,
+or `entry` off the diagonal and the edges, as the all-pairs resistance
+table does).  It comes from the same factor, one solve per column, and is
+then re-verified against the Penrose data exactly: symmetry, zero row
+sums, sum_j n_ij m_jk = delta_ik - 1/r, and the trace identity.  Together
+with zero row sums of M these force MM+M = M and M+MM+ = M+.
+
 `psd_certificate` eliminates the whole matrix: the verdict is the pivot
 signs, and a leftover nonzero off-diagonal entry is an indefinite 2x2 minor.
 
 Leaf-heavy fibers (each pendant chain eliminates with no fill-in) factor
-in O(edges); the dense M+ costs O(r^2) entries to solve, project and
-verify.  On the fractions.Fraction backend, pseudoinverse on the
-451-component fermat(31,14) takes about 15 s, of which the factor is 0.1 s.
+in O(edges), and each solve, the selected inversion and their
+certificates cost O(fill); only the dense M+ costs O(r^2) entries.
 """
 
 from __future__ import annotations
@@ -65,10 +78,15 @@ class RatMatrix:
         if self.rows != self.cols:
             return False
         e = self.entries
-        return all(e[i][j] == e[j][i] for i in range(self.rows) for j in range(i))
+        return all(
+            e[j][i] == e[i][j] for i in range(self.rows) for j in self.nonzero_columns[i]
+        )
 
     def row_sums(self) -> tuple:
-        return tuple(sum(row, ZERO) for row in self.entries)
+        return tuple(
+            sum((row[j] for j in cols), ZERO)
+            for row, cols in zip(self.entries, self.nonzero_columns)
+        )
 
     def diagonal(self) -> tuple:
         return tuple(self.entries[i][i] for i in range(min(self.rows, self.cols)))
@@ -114,23 +132,6 @@ def build_laplacian(fiber: SpecialFiber) -> RatMatrix:
             f"fiber {fiber.name!r} violates the fiber relation; validate() it first"
         )
     return M
-
-
-@dataclass(frozen=True)
-class PseudoinverseResult:
-    """Exact Moore-Penrose pseudoinverse with rank and kernel certificates."""
-
-    mplus: RatMatrix
-    trace: Rat
-    rank: int
-    kernel_certificate: tuple  # basis vectors of ker M
-
-    def entry(self, i: int, j: int) -> Rat:
-        return self.mplus.entry(i, j)
-
-    @property
-    def r(self) -> int:
-        return self.mplus.rows
 
 
 def _eliminate(work: list, active: set):
@@ -193,10 +194,14 @@ def _grounded_factor(M: RatMatrix):
     return ops, pivots
 
 
-def _grounded_column(ops, pivots, n: int, col: int) -> list:
-    """Solve (grounded M) x = e_col by replaying the recorded operations."""
-    x = [ZERO] * n
-    x[col] = rat(1)
+def _grounded_solve(ops, pivots, w) -> list:
+    """G0 w with G0 the grounded inverse padded by a zero last row/column.
+
+    Replays the recorded elimination on w's first r-1 entries; the last
+    entry of the result is zero.
+    """
+    x = list(w)
+    x[-1] = ZERO
     for i, factors in ops:
         xi = x[i]
         if xi:
@@ -214,10 +219,95 @@ def _grounded_column(ops, pivots, n: int, col: int) -> list:
     return x
 
 
-def _verify_penrose(M: RatMatrix, P: PseudoinverseResult) -> None:
-    """Exact postcondition check; failures mean an implementation bug."""
+def _verify_factor(M: RatMatrix, ops, pivots) -> None:
+    """L D L^t, summed over the factor's pattern, equals the grounded M exactly."""
+    last = M.rows - 1
+    ldl = [{} for _ in range(last)]
+    for (i, factors), (_, d) in zip(ops, pivots):
+        col = [(i, ONE), *factors.items()]
+        for j, lj in col:
+            dl = d * lj
+            row = ldl[j]
+            for k, lk in col:
+                row[k] = row.get(k, ZERO) + dl * lk
+    for j in range(last):
+        want = {k: M.entries[j][k] for k in M.nonzero_columns[j] if k != last}
+        if {k: v for k, v in ldl[j].items() if v} != want:
+            raise AssertionError(f"factor certificate: row {j} of L D L^t != grounded M")
+
+
+def _filled_pattern(ops) -> dict:
+    """Per pivot i, the later indices j at which selected inversion computes G_ij.
+
+    The numeric factor pattern, closed under the elimination tree (each
+    column's pattern joins its parent's), so an entry cancelled to zero
+    during elimination still gets its G_ij.
+    """
+    rank = {i: k for k, (i, _) in enumerate(ops)}
+    pattern = {i: set(factors) for i, factors in ops}
+    for i, _ in ops:
+        below = pattern[i]
+        if below:
+            parent = min(below, key=rank.__getitem__)
+            pattern[parent] |= below - {parent}
+    return pattern
+
+
+def _selected_inverse(ops, pivots) -> dict:
+    """G = (grounded M)^-1 on the filled pattern, as {i: {j: G_ij}} per row.
+
+    Takahashi-Fagan-Chin recurrences in reverse pivot order, with
+    L_ji = factors[j] and D_ii = d:
+        G_ji = -sum_k G_jk L_ki  (j later than i),
+        G_ii = 1/d - sum_k L_ki G_ki.
+    """
+    pattern = _filled_pattern(ops)
+    g = {}
+    for (i, factors), (_, d) in zip(reversed(ops), reversed(pivots)):
+        gi = {}
+        for j in pattern[i]:
+            gj = g[j]
+            gi[j] = -sum((gj[k] * f for k, f in factors.items()), ZERO)
+            gj[i] = gi[j]
+        gi[i] = ONE / d - sum((f * gi[k] for k, f in factors.items()), ZERO)
+        g[i] = gi
+    return g
+
+
+def _verify_selected(ops, pivots, g) -> None:
+    """The Takahashi equations (G L)_ji = [j = i]/d_i on every stored G_ji.
+
+    G L = L^-t D^-1 is upper triangular, so for j not before i in pivot
+    order its (j, i) entry is 1/d_i on the diagonal and zero below it.
+    Each entry is checked once, with its mirror G_ij.
+    """
+    done = set()
+    for (i, factors), (_, d) in zip(ops, pivots):
+        done.add(i)
+        for j, gji in g[i].items():
+            if j in done and j != i:
+                continue  # the mirror of an entry checked at pivot j
+            gj = g[j]
+            s = gji + sum((gj[k] * f for k, f in factors.items()), ZERO)
+            if s != (ONE / d if j == i else ZERO) or gj[i] != gji:
+                raise AssertionError(
+                    f"selected inverse certificate: (G L)[{j},{i}] = {s}"
+                )
+
+
+def _verify_solve(M: RatMatrix, w, y) -> None:
+    """y = M+ v for w = v - mean(v) 1: exactly M y = w and sum(y) = 0."""
+    for i in range(M.rows):
+        row = M.entries[i]
+        if sum((row[j] * y[j] for j in M.nonzero_columns[i]), ZERO) != w[i]:
+            raise AssertionError(f"solve certificate: (M y)[{i}] != w[{i}]")
+    if sum(y, ZERO) != 0:
+        raise AssertionError("solve certificate: sum(y) != 0")
+
+
+def _verify_penrose(M: RatMatrix, mp: RatMatrix, trace: Rat) -> None:
+    """Exact postcondition check of a dense M+; failures mean an implementation bug."""
     n = M.rows
-    mp = P.mplus
     if not mp.is_symmetric():
         raise AssertionError("pseudoinverse postcondition: symmetry")
     if any(s != 0 for s in mp.row_sums()):
@@ -236,7 +326,7 @@ def _verify_penrose(M: RatMatrix, P: PseudoinverseResult) -> None:
                 )
     diag = mp.diagonal()
     md = M.matvec(list(diag))
-    target = P.trace / n
+    target = trace / n
     for i in range(n):
         row = mp.entries[i]
         s = diag[i] - sum((row[j] * md[j] for j in range(n) if md[j] != 0), ZERO)
@@ -244,43 +334,119 @@ def _verify_penrose(M: RatMatrix, P: PseudoinverseResult) -> None:
             raise AssertionError(f"pseudoinverse postcondition: trace identity at {i}")
 
 
-def pseudoinverse(M: RatMatrix) -> PseudoinverseResult:
-    """Exact M+ for a symmetric zero-row-sum M with kernel span(1).
+class PseudoinverseResult:
+    """M+ of a symmetric zero-row-sum M with kernel span(1), held as a factor.
 
-    Raises SingularBeyondKernel when rank < r-1 (disconnected fiber).
-    The returned data satisfies the Penrose axioms exactly; this is
-    re-verified on every call, not assumed.
+    The grounded factor (ops, pivots) of M with its last row and column
+    removed gives G0, the grounded inverse padded with zeros, and
+    M+ = (I - J/r) G0 (I - J/r).  With y = M+ e_last this reads
+    M+_ij = G0_ij + y_i + y_j - y_last, so the diagonal and the edge
+    entries need only G on the factor's pattern plus one solve.
     """
-    n = M.rows
+
+    def __init__(self, M: RatMatrix, ops, pivots):
+        self._M = M
+        self._ops = ops
+        self._pivots = pivots
+        self.r = M.rows
+        self.rank = self.r - 1 if self.r > 1 else 0
+        self.kernel_certificate = ((ONE,) * self.r,)
+
+    def solve(self, v) -> list:
+        """M+ v, with the exact residual certificate M (M+ v) = v - mean(v) 1."""
+        mean = sum((rat(x) for x in v), ZERO) / self.r
+        w = [rat(x) - mean for x in v]
+        x = _grounded_solve(self._ops, self._pivots, w)
+        shift = sum(x, ZERO) / self.r
+        y = [xi - shift for xi in x]
+        _verify_solve(self._M, w, y)
+        return y
+
+    @cached_property
+    def _selected(self) -> dict:
+        g = _selected_inverse(self._ops, self._pivots)
+        _verify_selected(self._ops, self._pivots, g)
+        return g
+
+    @cached_property
+    def _last_column(self) -> list:
+        return self.solve([ZERO] * (self.r - 1) + [ONE])
+
+    def _g0(self, i: int, j: int) -> Rat:
+        return self._selected.get(i, {}).get(j, ZERO)
+
+    @cached_property
+    def _diagonal(self) -> tuple:
+        y = self._last_column
+        return tuple(self._g0(i, i) + 2 * y[i] - y[-1] for i in range(self.r))
+
+    def diag(self) -> tuple:
+        """(n_11, ..., n_rr) by selected inversion."""
+        return self._diagonal
+
+    @cached_property
+    def _edges(self) -> dict:
+        y, M = self._last_column, self._M
+        edges = {
+            (i, j): self._g0(i, j) + y[i] + y[j] - y[-1]
+            for i in range(self.r)
+            for j in M.nonzero_columns[i]
+            if i < j
+        }
+        # Foster's identity: sum over edges of -m_ij r(i, j) equals rank M
+        diag = self.diag()
+        foster = sum(
+            (-M.entries[i][j] * (diag[i] + diag[j] - 2 * nij) for (i, j), nij in edges.items()),
+            ZERO,
+        )
+        if foster != self.rank:
+            raise AssertionError(f"Foster certificate: sum -m_ij r_ij = {foster}, not {self.rank}")
+        return edges
+
+    def edge_entries(self) -> dict:
+        """{(i, j): n_ij} for i < j with m_ij != 0, by selected inversion."""
+        return self._edges
+
+    @cached_property
+    def trace(self) -> Rat:
+        return sum(self.diag(), ZERO)
+
+    @cached_property
+    def mplus(self) -> RatMatrix:
+        """The dense M+, built column by column from the same factor and
+        verified against the Penrose identities."""
+        n, y = self.r, self._last_column
+        entries = []
+        for c in range(n):
+            unit = [ONE if k == c else ZERO for k in range(n)]
+            g = _grounded_solve(self._ops, self._pivots, unit)
+            entries.append([g[k] + y[c] + y[k] - y[-1] for k in range(n)])
+        mplus = RatMatrix(entries)
+        _verify_penrose(self._M, mplus, self.trace)
+        return mplus
+
+    def entry(self, i: int, j: int) -> Rat:
+        """n_ij: from the factor on the diagonal and on edges, else from the dense M+."""
+        if i == j:
+            return self.diag()[i]
+        e = self.edge_entries().get((min(i, j), max(i, j)))
+        return self.mplus.entry(i, j) if e is None else e
+
+
+def pseudoinverse(M: RatMatrix) -> PseudoinverseResult:
+    """M+ for a symmetric zero-row-sum M with kernel span(1), as a lazy factor.
+
+    Raises SingularBeyondKernel when rank < r-1 (disconnected fiber).  The
+    factor is certified here; each quantity read from it carries its own
+    exact certificate (see the module docstring).
+    """
     if M.rows != M.cols or not M.is_symmetric():
         raise MalformedInput("pseudoinverse needs a symmetric square matrix")
     if any(s != 0 for s in M.row_sums()):
         raise MalformedInput("pseudoinverse needs zero row sums")
     ops, pivots = _grounded_factor(M)
-    columns = [_grounded_column(ops, pivots, n - 1, c) for c in range(n - 1)]
-    # project: M+ = (I - J/n) G (I - J/n) with G the zero-padded grounded inverse
-    row_sums = [sum(col, ZERO) for col in columns] + [ZERO]
-    total = sum(row_sums, ZERO)
-    inv_n = rat(1, n)
-    shift = total * inv_n * inv_n
-    entries = []
-    for i in range(n):
-        gi = columns[i] if i < n - 1 else None
-        ri = row_sums[i] * inv_n
-        row = []
-        for j in range(n):
-            gij = gi[j] if (gi is not None and j < n - 1) else ZERO
-            row.append(gij - ri - row_sums[j] * inv_n + shift)
-        entries.append(row)
-    mplus = RatMatrix(entries)
-    result = PseudoinverseResult(
-        mplus=mplus,
-        trace=mplus.trace(),
-        rank=n - 1 if n > 1 else 0,
-        kernel_certificate=((ONE,) * n,),
-    )
-    _verify_penrose(M, result)
-    return result
+    _verify_factor(M, ops, pivots)
+    return PseudoinverseResult(M, ops, pivots)
 
 
 def effective_resistance(P: PseudoinverseResult, i: int, j: int) -> Rat:

@@ -21,6 +21,9 @@ try:
 except ImportError:  # pragma: no cover - gmpy2 is a declared dependency
     _mpq = Fraction
 
+#: Name of the module behind the arithmetic: "gmpy2" or "fractions".
+BACKEND = _mpq.__module__
+
 #: Type used in annotations; values satisfy numbers.Rational.
 Rat = numbers.Rational
 
@@ -72,8 +75,22 @@ def parse_int(text: str) -> int:
         raise SchemaError(f"integer literal of {len(text)} characters is too long") from None
 
 
+def _int_text(n: int) -> str:
+    """str(n) without Python's int-to-string digit limit.
+
+    Past the limit, n is split at about half its decimal digits and the
+    halves are rendered recursively, so the text stays exact at any size.
+    """
+    try:
+        return str(n)
+    except ValueError:
+        k = n.bit_length() * 3 // 20  # about half of log10(2) * bits
+        high, low = divmod(abs(n), 10**k)
+        return ("-" if n < 0 else "") + _int_text(high) + _int_text(low).zfill(k)
+
+
 def format_rat(x: Rat) -> str:
     """Canonical text form: plain integer when the denominator is 1."""
     if x.denominator == 1:
-        return str(x.numerator)
-    return f"{x.numerator}/{x.denominator}"
+        return _int_text(x.numerator)
+    return f"{_int_text(x.numerator)}/{_int_text(x.denominator)}"

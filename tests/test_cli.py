@@ -1,6 +1,8 @@
 import io
 import json
 
+import pytest
+
 import fiberbeta as fb
 from fiberbeta.cli import main
 
@@ -166,3 +168,49 @@ def test_evaluate_cli(tmp_path, capsys, monkeypatch):
     doc.write_text('{"five": 1}', encoding="utf-8")
     code, _, err = run(capsys, "evaluate", str(doc), "--digits", "4")
     assert code == 1
+
+
+def test_version_names_the_rational_backend(capsys):
+    with pytest.raises(SystemExit) as exit_info:
+        main(["--version"])
+    assert exit_info.value.code == 0
+    backend = type(fb.rat(1)).__module__
+    assert capsys.readouterr().out == f"fiberbeta {fb.__version__} ({backend})\n"
+
+
+def test_huge_products_render_exactly(tmp_path, capsys):
+    # each literal is under the 4300-digit input limit, but the fiber
+    # relation's witness b * Gamma^2 has 8000 digits
+    big = 10**4000 - 1
+    doc = tmp_path / "huge.json"
+    doc.write_text(
+        json.dumps({
+            "schema_version": 1, "name": "huge", "genus": 2,
+            "components": [{"id": "G", "multiplicity": 1, "genus": 2, "self_intersection": 0}],
+            "intersections": [],
+        }).replace('"multiplicity": 1', f'"multiplicity": {"9" * 4000}')
+        .replace('"self_intersection": 0', f'"self_intersection": {"9" * 4000}'),
+        encoding="utf-8",
+    )
+    code, out, err = run(capsys, "validate", str(doc))
+    assert code == 0 and err == ""
+    witness = next(line for line in out.splitlines() if line.startswith("FAIL\tfiber-relation"))
+    digits = witness.split(" = ")[1].split(" ")[0]
+    # rebuild the integer from 1000-digit chunks, each under int()'s limit
+    value = 0
+    for start in range(0, len(digits), 1000):
+        chunk = digits[start:start + 1000]
+        value = value * 10 ** len(chunk) + int(chunk)
+    assert value == big * big
+    assert "summary: inconsistent" in out
+
+
+@pytest.mark.parametrize("command", ["validate", "compute", "evaluate"])
+def test_deeply_nested_documents_exit_one(tmp_path, capsys, command):
+    doc = tmp_path / "deep.json"
+    doc.write_text("[" * 100000, encoding="utf-8")
+    argv = [command, str(doc)] + (["--digits", "4"] if command == "evaluate" else [])
+    code, out, err = run(capsys, *argv)
+    assert code == 1 and out == ""
+    assert err.startswith("error: ") and "too deeply" in err
+    assert err.count("\n") == 1

@@ -122,3 +122,10 @@ def test_serialized_rationals_are_canonical(fermat72):
     assert data["components"][0]["self_intersection"] == -6
     again, _ = fb.parse_fiber(text)
     assert again == fermat72.fiber
+
+
+def test_deeply_nested_document_is_a_schema_error():
+    with pytest.raises(SchemaError, match="too deeply"):
+        fb.parse_fiber("[" * 100000)
+    with pytest.raises(SchemaError, match="too deeply"):
+        fb.parse_fiber('{"a": ' * 100000)

@@ -3,15 +3,19 @@ import random
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import fiberbeta as fb
-from fiberbeta import MalformedInput, RatMatrix, SingularBeyondKernel, rat
+from fiberbeta import MalformedInput, RatMatrix, SingularBeyondKernel, linalg, rat
 
 from oracles import (
     assert_penrose_sparse,
     bordered_pseudoinverse,
     object_matrix,
     psd_by_principal_minors,
+    random_fiber,
+    random_nonreduced_fiber,
     spectral_pinv,
 )
 
@@ -223,3 +227,146 @@ def test_ratmatrix_validation():
     m = RatMatrix([[1, 2], [2, 1]])
     assert m.is_symmetric()
     assert m.trace() == 2
+
+
+# -- the factored path against the dense M+ ------------------------------------
+
+
+def assert_factored_equals_dense(M, P, rng):
+    """diag, edge entries, trace and solves from the factor equal the dense M+."""
+    n = M.rows
+    diag, edges, trace = P.diag(), P.edge_entries(), P.trace
+    solves = []
+    for _ in range(3):
+        v = [rat(rng.randint(-5, 5), rng.randint(1, 3)) for _ in range(n)]
+        solves.append((v, P.solve(v)))
+    assert "mplus" not in vars(P)
+    dense = P.mplus
+    assert diag == dense.diagonal()
+    assert trace == dense.trace()
+    assert edges == {
+        (i, j): dense.entry(i, j) for i in range(n) for j in M.nonzero_columns[i] if i < j
+    }
+    for v, x in solves:
+        assert x == dense.matvec(v)
+
+
+def test_factored_path_equals_dense_on_battery(battery):
+    rng = random.Random(4)
+    for prepared in battery:
+        assert_factored_equals_dense(prepared.M, fb.pseudoinverse(prepared.M), rng)
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), reduced=st.booleans())
+def test_factored_path_equals_dense_on_random_fibers(seed, reduced):
+    rng = random.Random(seed)
+    fiber = random_fiber(rng) if reduced else random_nonreduced_fiber(rng)
+    M = fb.build_laplacian(fiber)
+    assert_factored_equals_dense(M, fb.pseudoinverse(M), rng)
+
+
+def test_factored_path_survives_cancelled_fill():
+    # symmetric zero-row-sum integer matrices with entries of both signs:
+    # elimination can cancel an entry to zero, and selected inversion must
+    # still reach the G_ij it needs through the closed filled pattern
+    rng = random.Random(1975)
+    cancelled = 0
+    for _ in range(400):
+        n = rng.randint(2, 7)
+        a = [[0] * n for _ in range(n)]
+        for i in range(n):
+            for j in range(i):
+                if rng.random() < 0.5:
+                    a[i][j] = a[j][i] = rng.choice([-2, -1, -1, 1, 2])
+            a[i][i] = 0
+        for i in range(n):
+            a[i][i] = -sum(a[i])
+        M = RatMatrix(a)
+        try:
+            P = fb.pseudoinverse(M)
+        except SingularBeyondKernel:
+            continue
+        ops, _ = linalg._grounded_factor(M)
+        pattern = linalg._filled_pattern(ops)
+        cancelled += any(set(factors) != pattern[i] for i, factors in ops)
+        assert_factored_equals_dense(M, P, rng)
+    assert cancelled >= 5
+
+
+def test_factored_certificates_reject_tampering(fermat72, monkeypatch):
+    M = fermat72.M
+    d = rat(1, 11)
+
+    def tampered(fn, change):
+        def wrapper(*args):
+            out = fn(*args)
+            change(out)
+            return out
+        return wrapper
+
+    def bump_factor(out):
+        ops, _ = out
+        i, factors = next((i, f) for i, f in ops if f)
+        j = next(iter(factors))
+        factors[j] += d
+
+    with monkeypatch.context() as m:
+        m.setattr(linalg, "_grounded_factor", tampered(linalg._grounded_factor, bump_factor))
+        with pytest.raises(AssertionError, match="factor certificate"):
+            fb.pseudoinverse(M)
+
+    def bump_selected(g):
+        i = next(i for i in g if len(g[i]) > 1)
+        j = next(j for j in g[i] if j != i)
+        g[i][j] += d  # mirror kept equal: only the Takahashi equations can tell
+        g[j][i] = g[i][j]
+
+    def bump_diagonal(g):
+        i = next(iter(g))
+        g[i][i] += d
+
+    for change in (bump_selected, bump_diagonal):
+        with monkeypatch.context() as m:
+            m.setattr(linalg, "_selected_inverse", tampered(linalg._selected_inverse, change))
+            P = fb.pseudoinverse(M)
+            with pytest.raises(AssertionError, match="selected inverse certificate"):
+                P.diag()
+            # with the Takahashi check gone, Foster's identity still fails
+            m.setattr(linalg, "_verify_selected", lambda *args: None)
+            with pytest.raises(AssertionError, match="Foster certificate"):
+                fb.pseudoinverse(M).edge_entries()
+
+    def bump_solve(x):
+        x[0] += d
+
+    with monkeypatch.context() as m:
+        m.setattr(linalg, "_grounded_solve", tampered(linalg._grounded_solve, bump_solve))
+        P = fb.pseudoinverse(M)
+        with pytest.raises(AssertionError, match="solve certificate"):
+            P.solve([rat(1)] + [rat(0)] * (M.rows - 1))
+
+
+@pytest.mark.parametrize("kind, params", [("fermat", (11, 3)), ("VII", (3, 4, 5))])
+def test_production_callers_never_build_the_dense_mplus(kind, params):
+    # a later change must not bring the O(r^2) dense M+ back onto these
+    # paths; fermat(11,3) is not reduced, so VII(3,4,5) covers the closed forms
+    fiber = fb.fermat_fiber(*params) if kind == "fermat" else fb.genus2_type(kind, params)
+    P = fb.pseudoinverse(fb.build_laplacian(fiber))
+    D = fb.unit_incidence(fiber, fiber.ids[0])
+    fb.solve_vertical(fiber, P, D)
+    fb.gamma_u(fiber, P, D)
+    fb.beta_direct(fiber, P, D)
+    fb.semipositivity_certificate(fiber, P, D)
+    fb.u_dot_component_closed(fiber, P, D, 0)
+    i = 0
+    j = fiber.neighbors[i][0]
+    fb.effective_resistance(P, i, j)
+    if fiber.is_reduced:
+        fb.beta_closed(fiber, P)
+        fb.u_dot_k_closed(fiber, P)
+    assert "mplus" not in vars(P)
+    # control: a pair off the dual graph's edges does build it
+    far = next(k for k in range(fiber.r) if k != i and k not in fiber.neighbors[i])
+    fb.effective_resistance(P, i, far)
+    assert "mplus" in vars(P)

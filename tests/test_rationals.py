@@ -39,3 +39,17 @@ def test_format_rat():
     assert format_rat(rat(5)) == "5"
     assert format_rat(rat(-10, 4)) == "-5/2"
     assert format_rat(rat(0)) == "0"
+
+
+def test_format_rat_past_the_int_string_limit():
+    # Python refuses str() on ints over 4300 digits; format_rat stays exact
+    n = 3**20000  # 9543 digits
+    text = format_rat(rat(-n, 7))
+    num, den = text.split("/")
+    assert den == "7" and num.startswith("-") and len(num) == 9544
+    value = 0
+    for start in range(1, len(num), 1000):
+        chunk = num[start:start + 1000]
+        value = value * 10 ** len(chunk) + int(chunk)
+    assert value == n
+    assert format_rat(rat(10**5000)) == "1" + "0" * 5000
