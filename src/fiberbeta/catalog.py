@@ -8,10 +8,17 @@ output; the Fermat constructor additionally re-derives the reference
 vertical divisors from its own intersection data and refuses to return a
 fiber that fails that self-check, which makes the reconstructed incidence
 structure falsifiable.
+
+Every generator bounds its output before it allocates anything: a fiber
+has at most MAX_COMPONENTS components and MAX_INTERSECTIONS stored
+intersection entries, counted from the parameters alone, and a
+modular-curve level is at most MAX_LEVEL, so that factoring it by trial
+division stays fast.  Larger parameters raise InvalidParams.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 from .divisors import solve_vertical
@@ -24,21 +31,27 @@ from .errors import (
 )
 from .fiber import Component, SpecialFiber, unit_incidence, validate
 from .linalg import build_laplacian, pseudoinverse
-from .logsum import GlobalModel, Place
+from .logsum import GlobalModel, Place, is_prime
 from .rationals import Rat, rat
 
+#: Most components a generated fiber may have.
+MAX_COMPONENTS = 2000
+#: Most stored (nonzero, off-diagonal) intersection entries it may have.
+MAX_INTERSECTIONS = 10000
+#: Largest modular-curve level N.
+MAX_LEVEL = 10**10
+
+
+def _check_size(name: str, components: int, entries: int) -> None:
+    """Refuse a fiber whose size, counted from its parameters, is over the limits."""
+    if components > MAX_COMPONENTS or entries > MAX_INTERSECTIONS:
+        raise InvalidParams(
+            f"{name} would have {components} components and {entries} intersection "
+            f"entries; the limits are {MAX_COMPONENTS} and {MAX_INTERSECTIONS}"
+        )
+
+
 # -- small number theory -------------------------------------------------------
-
-
-def is_prime(n: int) -> bool:
-    if n < 2:
-        return False
-    f = 2
-    while f * f <= n:
-        if n % f == 0:
-            return False
-        f += 1
-    return True
 
 
 def prime_factors(n: int) -> list:
@@ -64,7 +77,8 @@ def euler_phi(n: int) -> int:
 
 
 def divisors_of(n: int) -> list:
-    return [d for d in range(1, n + 1) if n % d == 0]
+    small = [d for d in range(1, math.isqrt(n) + 1) if n % d == 0]
+    return sorted({*small, *(n // d for d in small)})
 
 
 # -- graph realizations ---------------------------------------------------------
@@ -103,6 +117,15 @@ class GraphRealization:
     primitives: tuple
 
     def realize(self, name: str, genus: int) -> SpecialFiber:
+        chains = [
+            prim.length
+            for prim in self.primitives
+            if isinstance(prim, PathPrimitive)
+            or (isinstance(prim, LoopPrimitive) and prim.length >= 2)
+        ]
+        # a chain of length L adds L - 1 components and L edges
+        edges = sum(isinstance(prim, EdgePrimitive) for prim in self.primitives)
+        _check_size(name, len(self.vertices) + sum(chains) - len(chains), edges + sum(chains))
         ids = [v for v, _ in self.vertices]
         pa = {v: g for v, g in self.vertices}
         if len(pa) != len(ids):
@@ -319,6 +342,8 @@ def _x1n_check_level(N: int) -> list:
     """Hypotheses on N: squarefree with a coprime split Q, R >= 4 dividing N."""
     if not (isinstance(N, int) and N > 1):
         raise InvalidN(f"level must be an integer > 1, got {N!r}")
+    if N > MAX_LEVEL:
+        raise InvalidN(f"level {N} is over the limit {MAX_LEVEL}")
     primes = prime_factors(N)
     sf = 1
     for p in primes:
@@ -498,12 +523,17 @@ def fermat_fiber(p: int, r: int, self_check: bool = True) -> SpecialFiber:
     alpha once); all non-pendant components pairwise meet exactly once.
     The genus is (p-1)(p-2)/2.
     """
-    if not (isinstance(p, int) and is_prime(p) and p > 3):
+    if not (isinstance(p, int) and p > 3):
         raise InvalidParams(f"exponent must be a prime > 3, got {p}")
     if not (isinstance(r, int) and r >= 0):
         raise InvalidParams(f"r must be a nonnegative integer, got {r}")
     if p - 3 - 2 * r < 0:
         raise InvalidParams(f"fermat({p},{r}) needs s = p - 3 - 2r >= 0")
+    # p - r mutually meeting main components, and p pendants on each alpha
+    mains = p - r
+    _check_size(f"fermat({p},{r})", mains + r * p, mains * (mains - 1) // 2 + r * p)
+    if not is_prime(p):
+        raise InvalidParams(f"exponent must be a prime > 3, got {p}")
     fiber = _build_fermat(p, r)
     if self_check:
         _verify_fermat(fiber, p, r)

@@ -26,8 +26,8 @@ from dataclasses import dataclass
 
 from .errors import DegreeMismatch, FiberMismatch, MalformedInput, NonpositiveDegree
 from .fiber import HorizontalIncidence, SpecialFiber, unit_incidence
-from .linalg import PseudoinverseResult, _laplacian_row_dot
-from .rationals import Rat, ZERO, rat
+from .linalg import PseudoinverseResult, _integer_matvec, _laplacian_row_dot
+from .rationals import Rat, ZERO, _integer_vector, rat
 
 
 @dataclass(frozen=True)
@@ -74,14 +74,17 @@ def _same_fiber(a: SpecialFiber, b: SpecialFiber) -> None:
         raise FiberMismatch(f"operands live on {a.name!r} and {b.name!r}")
 
 
+def _integer_pairings(fiber: SpecialFiber, y) -> tuple:
+    """(S, d) with (V . Gamma_i) = S_i / d for V = sum y_j Gamma_j, over integers."""
+    rows, s = fiber.integer_pairing_rows
+    Y, dy = _integer_vector(y)
+    return _integer_matvec(rows, Y), s * dy
+
+
 def _component_pairings(fiber: SpecialFiber, y) -> list:
     """(V . Gamma_i) for V = sum y_j Gamma_j, all i at once."""
-    out = [y[i] * fiber.components[i].self_intersection for i in range(fiber.r)]
-    for a, b, v in fiber.intersections:
-        i, j = fiber.index[a], fiber.index[b]
-        out[i] += y[j] * v
-        out[j] += y[i] * v
-    return out
+    S, d = _integer_pairings(fiber, y)
+    return [rat(x, d) for x in S]
 
 
 def _incidence_vector(fiber: SpecialFiber, D: HorizontalIncidence) -> list:
@@ -114,17 +117,22 @@ def solve_vertical(
 
     Raises DegreeMismatch when the incidence entries do not sum to the
     declared degree; the defining system is unsolvable in that case.
-    The defining property is re-checked exactly before returning.
+    The defining property is re-checked exactly before returning, from
+    the fiber's own data and over integers.
     """
     v = _incidence_vector(fiber, D)
     w = [D.degree * qi - vi for qi, vi in zip(_degree_vector(fiber), v)]
     c = [-x for x in P.solve(w)]
     b = fiber.multiplicities
     divisor = VerticalDivisor(fiber, tuple(rat(b[i]) * c[i] for i in range(fiber.r)))
-    pairings = _component_pairings(fiber, divisor.coefficients)
-    ap = fiber.normalized_degrees
+    # S / ds + V / (dv b) = (dn / dd) A / da, times ds dv dd da b
+    S, ds = _integer_pairings(fiber, divisor.coefficients)
+    V, dv = _integer_vector(v)
+    A, da = _integer_vector(fiber.normalized_degrees)
+    dn, dd = D.degree.numerator, D.degree.denominator
+    ks, kv, ka = dv * dd * da, ds * dd * da, ds * dv * dn
     for i in range(fiber.r):
-        if pairings[i] + v[i] / rat(b[i]) != D.degree * ap[i]:
+        if b[i] * (ks * S[i] - ka * A[i]) + kv * V[i] != 0:
             raise AssertionError(f"solve_vertical postcondition failed at {fiber.ids[i]}")
     return divisor
 
@@ -139,8 +147,9 @@ def phi(fiber: SpecialFiber, P: PseudoinverseResult, Z: HorizontalIncidence) -> 
 def pair_vertical(V: VerticalDivisor, W: VerticalDivisor) -> Rat:
     """Intersection pairing of two vertical divisors on the same fiber."""
     _same_fiber(V.fiber, W.fiber)
-    wp = _component_pairings(W.fiber, W.coefficients)
-    return sum((y * p for y, p in zip(V.coefficients, wp) if y != 0), ZERO)
+    S, d = _integer_pairings(W.fiber, W.coefficients)
+    Y, dy = _integer_vector(V.coefficients)
+    return rat(sum([y * x for y, x in zip(Y, S) if y]), d * dy)
 
 
 def pair_with_component(V: VerticalDivisor, i: int) -> Rat:

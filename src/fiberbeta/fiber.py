@@ -20,7 +20,7 @@ from functools import cached_property
 from typing import Mapping
 
 from .errors import FiberMismatch, MalformedInput
-from .rationals import Rat, ZERO, format_rat, rat
+from .rationals import Rat, ZERO, _integer_rows, format_rat, rat
 
 
 @dataclass(frozen=True)
@@ -146,6 +146,14 @@ class SpecialFiber:
             adj[i].append(j)
             adj[j].append(i)
         return tuple(tuple(sorted(x)) for x in adj)
+
+    @cached_property
+    def integer_pairing_rows(self) -> tuple:
+        """(rows, s): row i lists (j, s (Gamma_i . Gamma_j)) over i and its
+        neighbors, diagonal first, all integers over one common scale s."""
+        return _integer_rows(
+            [[(j, self.pair_value(i, j)) for j in (i, *self.neighbors[i])] for i in range(self.r)]
+        )
 
     # -- derived data --------------------------------------------------------
 

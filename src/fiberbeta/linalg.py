@@ -28,6 +28,13 @@ then re-verified against the Penrose data exactly: symmetry, zero row
 sums, sum_j n_ij m_jk = delta_ik - 1/r, and the trace identity.  Together
 with zero row sums of M these force MM+M = M and M+MM+ = M+.
 
+The solve and Penrose certificates, like the defining-property check of
+`divisors.solve_vertical`, run over integers: each vector is put over one
+common denominator (`rationals._integer_vector`, the lcm of its
+denominators), M over one scale once (`RatMatrix.integer_rows`), and each
+identity is multiplied through by these scales, so a check is plain
+integer multiply-adds (`_integer_matvec`) with no gcd per step.
+
 `psd_certificate` eliminates the whole matrix: the verdict is the pivot
 signs, and a leftover nonzero off-diagonal entry is an indefinite 2x2 minor.
 
@@ -38,12 +45,13 @@ certificates cost O(fill); only the dense M+ costs O(r^2) entries.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from functools import cached_property
 
 from .errors import MalformedInput, SingularBeyondKernel
 from .fiber import SpecialFiber
-from .rationals import ONE, Rat, ZERO, rat
+from .rationals import ONE, Rat, ZERO, _integer_rows, _integer_vector, rat
 
 
 @dataclass(frozen=True)
@@ -104,6 +112,19 @@ class RatMatrix:
         return tuple(
             tuple(j for j, x in enumerate(row) if x != 0) for row in self.entries
         )
+
+    @cached_property
+    def integer_rows(self) -> tuple:
+        """(rows, a): row i lists (j, a m_ij) over its nonzero entries, all
+        integers over one common scale a."""
+        return _integer_rows(
+            [[(j, row[j]) for j in cols] for row, cols in zip(self.entries, self.nonzero_columns)]
+        )
+
+
+def _integer_matvec(rows, x) -> list:
+    """sum_j R_ij x_j for each sparse integer row [(j, R_ij)]."""
+    return [sum([v * x[j] for j, v in row]) for row in rows]
 
 
 def _laplacian_row(fiber: SpecialFiber, i: int):
@@ -295,42 +316,53 @@ def _verify_selected(ops, pivots, g) -> None:
                 )
 
 
-def _verify_solve(M: RatMatrix, w, y) -> None:
-    """y = M+ v for w = v - mean(v) 1: exactly M y = w and sum(y) = 0."""
-    for i in range(M.rows):
-        row = M.entries[i]
-        if sum((row[j] * y[j] for j in M.nonzero_columns[i]), ZERO) != w[i]:
+def _verify_solve(M: RatMatrix, W, dw, Y, dy) -> None:
+    """y = Y / dy solves M y = w for w = W / dw, and sum(y) = 0, exactly.
+
+    With M = A / a the residual check is dw (A Y)_i = a dy W_i over integers.
+    """
+    rows, a = M.integer_rows
+    ady = a * dy
+    for i, s in enumerate(_integer_matvec(rows, Y)):
+        if dw * s != ady * W[i]:
             raise AssertionError(f"solve certificate: (M y)[{i}] != w[{i}]")
-    if sum(y, ZERO) != 0:
+    if sum(Y) != 0:
         raise AssertionError("solve certificate: sum(y) != 0")
 
 
 def _verify_penrose(M: RatMatrix, mp: RatMatrix, trace: Rat) -> None:
-    """Exact postcondition check of a dense M+; failures mean an implementation bug."""
+    """Exact postcondition check of a dense M+; failures mean an implementation bug.
+
+    Runs over integers on B = b M+ and M = A / a (M symmetric, so A's
+    rows are its columns): symmetry and zero row sums of B,
+    r (B A)_ik = a b (r delta_ik - 1), and the trace identity
+    diag(M+) - M+ M diag(M+) = trace / r multiplied through by a b^2 r.
+    """
     n = M.rows
-    if not mp.is_symmetric():
+    rows, a = M.integer_rows
+    flat, b = _integer_vector([x for row in mp.entries for x in row])
+    B = [flat[i * n:(i + 1) * n] for i in range(n)]
+    if [list(col) for col in zip(*B)] != B:
         raise AssertionError("pseudoinverse postcondition: symmetry")
-    if any(s != 0 for s in mp.row_sums()):
+    if any(sum(row) for row in B):
         raise AssertionError("pseudoinverse postcondition: row sums")
-    minus_inv_r = rat(-1, n)
-    for k in range(n):
-        cols = M.nonzero_columns[k]
-        mk = M.entries[k]
-        for i in range(n):
-            row = mp.entries[i]
-            s = sum((row[j] * mk[j] for j in cols), ZERO)
-            expect = minus_inv_r + (1 if i == k else 0)
-            if s != expect:
-                raise AssertionError(
-                    f"pseudoinverse postcondition: (M+ M)[{i},{k}] = {s}"
-                )
-    diag = mp.diagonal()
-    md = M.matvec(list(diag))
-    target = trace / n
+    ab = a * b
+    expect = [-ab] * n
     for i in range(n):
-        row = mp.entries[i]
-        s = diag[i] - sum((row[j] * md[j] for j in range(n) if md[j] != 0), ZERO)
-        if s != target:
+        expect[i] = ab * (n - 1)
+        prod = [n * s for s in _integer_matvec(rows, B[i])]
+        if prod != expect:
+            k = next(k for k in range(n) if prod[k] != expect[k])
+            raise AssertionError(
+                f"pseudoinverse postcondition: (M+ M)[{i},{k}] = {rat(prod[k], n * ab)}"
+            )
+        expect[i] = -ab
+    diag = [B[i][i] for i in range(n)]
+    md = _integer_matvec(rows, diag)  # a b M diag(M+)
+    scale = n * trace.denominator
+    target = ab * b * trace.numerator
+    for i in range(n):
+        if scale * (ab * diag[i] - sum(map(operator.mul, B[i], md))) != target:
             raise AssertionError(f"pseudoinverse postcondition: trace identity at {i}")
 
 
@@ -354,13 +386,16 @@ class PseudoinverseResult:
 
     def solve(self, v) -> list:
         """M+ v, with the exact residual certificate M (M+ v) = v - mean(v) 1."""
-        mean = sum((rat(x) for x in v), ZERO) / self.r
-        w = [rat(x) - mean for x in v]
-        x = _grounded_solve(self._ops, self._pivots, w)
-        shift = sum(x, ZERO) / self.r
-        y = [xi - shift for xi in x]
-        _verify_solve(self._M, w, y)
-        return y
+        r = self.r
+        V, dv = _integer_vector([rat(x) for x in v])
+        total = sum(V)
+        W, dw = [r * x - total for x in V], r * dv  # w = v - mean(v) 1 = W / dw
+        x = _grounded_solve(self._ops, self._pivots, [rat(x, dw) for x in W])
+        X, dx = _integer_vector(x)
+        total = sum(X)
+        Y, dy = [r * x - total for x in X], r * dx  # y = x - mean(x) 1 = Y / dy
+        _verify_solve(self._M, W, dw, Y, dy)
+        return [rat(x, dy) for x in Y]
 
     @cached_property
     def _selected(self) -> dict:

@@ -26,9 +26,44 @@ from .linalg import build_laplacian, pseudoinverse
 from .rationals import Rat, ZERO, format_rat, rat
 
 
+#: Miller-Rabin with the first 13 primes as bases decides primality
+#: exactly below this bound (Sorenson-Webster 2017).
+PRIME_BOUND = 3317044064679887385961981
+_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+
+
+def is_prime(n: int) -> bool:
+    """Exact primality of an integer n < PRIME_BOUND; MalformedInput past it."""
+    if n >= PRIME_BOUND:
+        raise MalformedInput(f"primality of {n} is not decided exactly past {PRIME_BOUND}")
+    if n < 2:
+        return False
+    for a in _BASES:
+        if n % a == 0:
+            return n == a
+    d, s = n - 1, 0
+    while d % 2 == 0:
+        d, s = d // 2, s + 1
+    for a in _BASES:
+        x = pow(a, d, n)
+        if x == 1 or x == n - 1:
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
+            return False
+    return True
+
+
 @dataclass(frozen=True)
 class FormalLogSum:
-    """sum_p terms[p] * log(p); zero coefficients are never stored."""
+    """sum_p terms[p] * log(p) over primes p; zero coefficients are never stored.
+
+    Keys must be primes, so that two sums are equal exactly when their
+    values are: {4: 1, 2: -2} would be two nonzero terms worth 0.
+    """
 
     terms: tuple  # sorted (prime, coefficient) pairs
 
@@ -39,7 +74,7 @@ class FormalLogSum:
             items = [tuple(t) for t in terms]
         merged = {}
         for p, c in items:
-            if not (isinstance(p, int) and p >= 2):
+            if not (isinstance(p, int) and is_prime(p)):
                 raise MalformedInput(f"log-sum key must be an integer prime, got {p!r}")
             merged[p] = merged.get(p, ZERO) + rat(c)
         object.__setattr__(

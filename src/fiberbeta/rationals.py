@@ -10,6 +10,7 @@ freely, so callers only ever go through :func:`rat`.
 
 from __future__ import annotations
 
+import math
 import numbers
 import re
 from fractions import Fraction
@@ -32,6 +33,9 @@ _RAT_RE = re.compile(r"^[+-]?\d+(/[+-]?\d+)?$")
 ZERO = _mpq(0)
 ONE = _mpq(1)
 
+#: Integer types the backend's numerators come in: int, and mpz under gmpy2.
+_INTS = (int, type(ONE.numerator))
+
 
 def rat(value, denominator=None) -> Rat:
     """Build an exact rational from ints, rationals, or 'n/d' strings.
@@ -42,6 +46,8 @@ def rat(value, denominator=None) -> Rat:
     if denominator is not None:
         if denominator == 0:
             raise MalformedInput("zero denominator")
+        if type(value) in _INTS and type(denominator) in _INTS:
+            return _mpq(value, denominator)
         return _mpq(rat(value)) / _mpq(rat(denominator))
     if type(value) is _mpq:
         return value  # already in lowest terms
@@ -61,6 +67,23 @@ def rat(value, denominator=None) -> Rat:
             raise MalformedInput(f"zero denominator in {value!r}")
         return _mpq(parse_int(num), d)
     raise MalformedInput(f"cannot interpret {value!r} as a rational")
+
+
+def _integer_vector(xs) -> tuple:
+    """(X, d) with xs_i = X_i / d exactly: d is the lcm of the denominators.
+
+    Works on either backend.  Exact checks multiply through by d and then
+    run on plain integers, with no gcd per multiply-add.
+    """
+    d = math.lcm(*(x.denominator for x in xs))
+    return [x.numerator * (d // x.denominator) for x in xs], d
+
+
+def _integer_rows(rows) -> tuple:
+    """(R, s) for sparse rows of (j, x_ij): R holds (j, s x_ij), all integers."""
+    values, s = _integer_vector([x for row in rows for _, x in row])
+    it = iter(values)
+    return tuple(tuple((j, next(it)) for j, _ in row) for row in rows), s
 
 
 def parse_int(text: str) -> int:

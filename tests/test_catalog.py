@@ -1,4 +1,5 @@
 import itertools
+import time
 
 import pytest
 
@@ -209,3 +210,24 @@ def test_catalog_entry_dispatch():
         fb.catalog.catalog_entry("nope", [])
     with pytest.raises(InvalidParams):
         fb.catalog.catalog_entry("banana", ["1"])
+
+
+def test_generators_refuse_oversized_parameters_before_building():
+    # counted from the parameters: fermat(p, r) has p - r main components
+    # meeting pairwise, plus p pendants on each of the r alpha components
+    assert fb.fermat_fiber(61, 29, self_check=False).r == 1801
+    assert fb.fermat_fiber(139, 0, self_check=False).r == 139  # 9591 entries
+    oversized = [
+        lambda: fb.fermat_fiber(10000019, 0),
+        lambda: fb.fermat_fiber(10**40, 0),  # too large even to test for primality
+        lambda: fb.fermat_fiber(149, 0),  # 149 components, 11026 entries
+        lambda: fb.fermat_fiber(67, 32),  # 2179 components
+        lambda: fb.genus2_type("VII", (10**9, 1, 1)),
+        lambda: fb.x1n_model(2 * 3 * 5 * 7 * 11 * 13 * 17 * 19 * 23 * 29 * 31 * 37),
+        lambda: fb.x1n_fiber(10**30 + 1, 7),
+    ]
+    start = time.perf_counter()
+    for build in oversized:
+        with pytest.raises(InvalidParams, match="limit"):
+            build()
+    assert time.perf_counter() - start < 1.0

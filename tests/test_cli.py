@@ -1,5 +1,6 @@
 import io
 import json
+import time
 
 import pytest
 
@@ -214,3 +215,19 @@ def test_deeply_nested_documents_exit_one(tmp_path, capsys, command):
     assert code == 1 and out == ""
     assert err.startswith("error: ") and "too deeply" in err
     assert err.count("\n") == 1
+
+
+def test_oversized_catalog_parameters_exit_one(capsys):
+    start = time.perf_counter()
+    code, out, err = run(capsys, "catalog", "emit", "fermat", "--params", "10000019,0")
+    assert time.perf_counter() - start < 1.0
+    assert code == 1 and out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
+def test_evaluate_rejects_composite_keys(tmp_path, capsys):
+    doc = tmp_path / "sum.json"
+    doc.write_text('{"4": 1, "2": -2}', encoding="utf-8")
+    code, out, err = run(capsys, "evaluate", str(doc), "--digits", "4")
+    assert code == 1 and out == ""
+    assert err == "error: log-sum key must be an integer prime, got 4\n"

@@ -36,6 +36,19 @@ def test_solve_vertical_examples(banana111, fermat50):
     assert all(c - shift in (rat(0),) for c in v.coefficients[1:])
 
 
+def test_solve_vertical_rejects_a_factor_of_another_fiber():
+    # II(3) and III(4) both have four components; the factor of one
+    # solves its own M correctly, but V_D built from it fails the other
+    # fiber's defining property
+    fiber, other = fb.genus2_type("II", (3,)), fb.genus2_type("III", (4,))
+    assert fiber.r == other.r
+    P_other = fb.pseudoinverse(fb.build_laplacian(other))
+    P_other.solve([rat(1)] + [rat(0)] * (fiber.r - 1))
+    D = fb.unit_incidence(fiber, fiber.ids[0])
+    with pytest.raises(AssertionError, match="solve_vertical postcondition"):
+        fb.solve_vertical(fiber, P_other, D)
+
+
 def test_solve_vertical_degree_mismatch(banana111):
     bad = HorizontalIncidence("bad", 1, {"G1": 1, "G2": 1})
     with pytest.raises(DegreeMismatch):

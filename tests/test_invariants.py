@@ -1,6 +1,8 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import fiberbeta as fb
 from fiberbeta import (
@@ -12,7 +14,7 @@ from fiberbeta import (
 )
 
 from conftest import prepare
-from oracles import random_horizontal
+from oracles import random_fiber, random_horizontal, random_nonreduced_fiber
 
 
 def sym_divisor(fiber):
@@ -146,3 +148,30 @@ def test_beta_nonnegative_on_reduced_minimal(battery):
             assert beta == 0
         else:
             assert beta > 0, f.name
+
+
+@settings(max_examples=40, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), reduced=st.booleans())
+def test_relabeling_permutes_vd_gamma_resistances_and_fixes_beta(seed, reduced):
+    rng = random.Random(seed)
+    fiber = random_fiber(rng) if reduced else random_nonreduced_fiber(rng)
+    order = list(range(fiber.r))
+    rng.shuffle(order)  # component k of the relabeled fiber is order[k]
+    relabeled = fb.SpecialFiber(
+        fiber.name, [fiber.components[i] for i in order], fiber.intersections, fiber.genus
+    )
+    D = random_horizontal(rng, fiber, 1)
+    P = fb.pseudoinverse(fb.build_laplacian(fiber))
+    Q = fb.pseudoinverse(fb.build_laplacian(relabeled))
+    vd = fb.solve_vertical(fiber, P, D).coefficients
+    assert fb.solve_vertical(relabeled, Q, D).coefficients == tuple(vd[i] for i in order)
+    gamma = fb.gamma_u(fiber, P, D).gamma
+    assert fb.gamma_u(relabeled, Q, D).gamma == tuple(gamma[i] for i in order)
+    for k in range(fiber.r):
+        for l in relabeled.neighbors[k]:
+            assert fb.effective_resistance(Q, k, l) == fb.effective_resistance(
+                P, order[k], order[l]
+            )
+    assert fb.beta_direct(relabeled, Q, D).beta == fb.beta_direct(fiber, P, D).beta
+    if fiber.is_reduced:
+        assert fb.beta_closed(relabeled, Q).beta == fb.beta_closed(fiber, P).beta

@@ -89,12 +89,8 @@ def test_penrose_axioms_exact(banana111, fermat72):
         assert np.array_equal(p @ m @ p, p)
 
 
-def test_sparse_penrose_oracle_accepts_true_rejects_tampered(fermat72):
-    # the sparse oracle behind criterion 1 accepts the M+ that the dense
-    # object-array products above accept, and rejects M+ moved in ways
-    # that keep symmetry and zero row sums, so only the products can tell
-    M, P = fermat72.M, fermat72.P
-    assert_penrose_sparse(M, P.mplus.entries, P.trace)
+def tampered_mplus(P):
+    """Two wrong M+ that keep symmetry and zero row sums, so only products tell."""
     d = rat(1, 7)
     moves = (
         # one off-diagonal pair, balanced on the diagonal
@@ -102,7 +98,6 @@ def test_sparse_penrose_oracle_accepts_true_rejects_tampered(fermat72):
         # a 4-cycle of off-diagonal pairs: diagonal and trace unchanged too
         ((0, 2, d), (0, 3, -d), (1, 2, -d), (1, 3, d)),
     )
-    m = object_matrix(M)
     for move in moves:
         rows = [list(row) for row in P.mplus.entries]
         for i, k, delta in move:
@@ -112,9 +107,65 @@ def test_sparse_penrose_oracle_accepts_true_rejects_tampered(fermat72):
         tampered = RatMatrix(rows)
         assert tampered.is_symmetric()
         assert all(s == 0 for s in tampered.row_sums())
+        yield tampered
+
+
+def test_sparse_penrose_oracle_accepts_true_rejects_tampered(fermat72):
+    # the sparse oracle behind criterion 1 accepts the M+ that the dense
+    # object-array products above accept, and rejects the tampered M+
+    M, P = fermat72.M, fermat72.P
+    assert_penrose_sparse(M, P.mplus.entries, P.trace)
+    m = object_matrix(M)
+    for tampered in tampered_mplus(P):
         assert not np.array_equal(m @ object_matrix(tampered) @ m, m)
         with pytest.raises(AssertionError, match=r"M M\+ M != M"):
             assert_penrose_sparse(M, tampered.entries, P.trace)
+
+
+def test_engine_penrose_check_rejects_tampered(fermat72):
+    # the engine's own check on the dense M+ accepts the true M+ and
+    # rejects the same two tampered ones
+    M, P = fermat72.M, fermat72.P
+    linalg._verify_penrose(M, P.mplus, P.trace)
+    for tampered in tampered_mplus(P):
+        with pytest.raises(AssertionError, match=r"pseudoinverse postcondition: \(M\+ M\)"):
+            linalg._verify_penrose(M, tampered, P.trace)
+    # a wrong trace leaves the products right: only the trace identity tells
+    with pytest.raises(AssertionError, match="trace identity"):
+        linalg._verify_penrose(M, P.mplus, P.trace + rat(1, 3))
+
+
+def fractional_fiber():
+    """A valid fiber with non-integral intersection numbers of mixed denominators."""
+    components = (
+        fb.Component("A", 1, 0, rat(-11, 2)),
+        fb.Component("B", 2, 0, rat(-1)),
+        fb.Component("C", 3, 1, rat(-5, 6)),
+    )
+    intersections = {("A", "B"): rat(1, 2), ("B", "C"): rat(1, 2), ("A", "C"): rat(3, 2)}
+    return fb.SpecialFiber("fractional", components, intersections, genus=3)
+
+
+def test_common_denominators_on_fractional_intersections():
+    # M, M+, the solves and V_D all have mixed denominators here, so every
+    # certificate runs with nontrivial common denominators
+    fiber = fractional_fiber()
+    assert fb.validate(fiber).ok
+    M = fb.build_laplacian(fiber)
+    assert {x.denominator for row in M.entries for x in row} > {1}
+    P = fb.pseudoinverse(M)
+    reference = bordered_pseudoinverse(M)
+    v = [rat(1, 3), rat(-2, 5), rat(7)]
+    want = [sum(reference[i][j] * v[j] for j in range(3)) for i in range(3)]
+    assert P.solve(v) == want
+    assert len({x.denominator for x in want}) > 1
+    D = fb.HorizontalIncidence("D", rat(3, 2), {"A": rat(1, 2), "C": rat(1)})
+    vd = fb.solve_vertical(fiber, P, D)
+    ap = fiber.normalized_degrees
+    for i in range(3):
+        pairing = sum(vd.coefficients[j] * fiber.pair_value(i, j) for j in range(3))
+        assert pairing + D.vector(fiber)[i] / fiber.multiplicities[i] == D.degree * ap[i]
+    assert P.mplus.entries == tuple(tuple(row) for row in reference)
 
 
 def test_bordering_formula_identity(banana111, fermat50):

@@ -96,3 +96,26 @@ def test_global_model_validation(fermat72, single_component):
         Place("bad", 1, 1, single_component.fiber)
     with pytest.raises(MalformedInput):
         Place("bad", 5, 0, single_component.fiber)
+
+
+def test_formal_log_sum_keys_must_be_prime():
+    # {4: 1, 2: -2} is worth 0 but would be two nonzero terms
+    for key in (4, 9, 561, 2047, 3215031751, 2**61 + 1, 0, -7, True):
+        with pytest.raises(MalformedInput, match="integer prime"):
+            FormalLogSum({key: rat(1)})
+    with pytest.raises(MalformedInput):
+        FormalLogSum({4: 1, 2: -2})
+    # 2^89 - 1 is prime, but past the bound where primality is decided exactly
+    with pytest.raises(MalformedInput, match="not decided exactly"):
+        FormalLogSum({2**89 - 1: 1})
+    assert FormalLogSum({2**61 - 1: 1, 3: 2}).terms == ((3, rat(2)), (2**61 - 1, rat(1)))
+    assert FormalLogSum({2: 1}) + FormalLogSum({3: 1}) == FormalLogSum({3: 1, 2: 1})
+
+
+def test_is_prime_matches_trial_division():
+    from fiberbeta.logsum import is_prime
+
+    def trial(n):
+        return n >= 2 and all(n % k for k in range(2, int(n**0.5) + 1))
+
+    assert [n for n in range(3000) if is_prime(n)] == [n for n in range(3000) if trial(n)]

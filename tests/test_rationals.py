@@ -3,6 +3,7 @@ from fractions import Fraction
 import pytest
 
 from fiberbeta import ExactnessError, MalformedInput, format_rat, rat
+from fiberbeta.rationals import _integer_vector
 
 
 def test_parsing_and_normalization():
@@ -53,3 +54,20 @@ def test_format_rat_past_the_int_string_limit():
         value = value * 10 ** len(chunk) + int(chunk)
     assert value == n
     assert format_rat(rat(10**5000)) == "1" + "0" * 5000
+
+
+@pytest.mark.parametrize(
+    "xs, d",
+    [
+        ([], 1),
+        ([rat(0), rat(0)], 1),
+        ([rat(-3), rat(-7, 2)], 2),
+        ([rat(1, 4), rat(-5, 6), rat(0), rat(7, 9), rat(-2)], 36),
+        ([rat(3, 10**30), rat(-1, 6)], 3 * 10**30),
+    ],
+)
+def test_integer_vector_round_trips(xs, d):
+    X, scale = _integer_vector(xs)
+    assert scale == d
+    assert all(int(x) == x for x in X)  # Python ints, or mpz under gmpy2
+    assert [rat(x, scale) for x in X] == xs
