@@ -29,15 +29,18 @@ from .errors import (
     NotADivisor,
     SelfCheckFailed,
 )
-from .fiber import Component, SpecialFiber, unit_incidence, validate
+from .fiber import (
+    MAX_COMPONENTS,
+    MAX_INTERSECTIONS,
+    Component,
+    SpecialFiber,
+    unit_incidence,
+    validate,
+)
 from .linalg import build_laplacian, pseudoinverse
 from .logsum import GlobalModel, Place, is_prime
 from .rationals import Rat, rat
 
-#: Most components a generated fiber may have.
-MAX_COMPONENTS = 2000
-#: Most stored (nonzero, off-diagonal) intersection entries it may have.
-MAX_INTERSECTIONS = 10000
 #: Largest modular-curve level N.
 MAX_LEVEL = 10**10
 

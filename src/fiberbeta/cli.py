@@ -29,7 +29,7 @@ from .documents import parse_fiber, serialize_fiber
 from .errors import FiberBetaError, MalformedInput
 from .fiber import HorizontalIncidence, validate
 from .invariants import beta_closed, beta_direct, semipositivity_certificate
-from .linalg import build_laplacian, effective_resistance, pseudoinverse
+from .linalg import build_laplacian, pseudoinverse, resistance_rows
 from .logsum import FormalLogSum, evaluate
 from .rationals import BACKEND, format_rat, parse_int, rat
 
@@ -117,12 +117,10 @@ def cmd_compute(args) -> int:
         return 0
     if op == "resistance":
         print("a\tb\tresistance")
-        for i in range(fiber.r):
-            for j in range(i + 1, fiber.r):
-                print(
-                    f"{fiber.ids[i]}\t{fiber.ids[j]}\t"
-                    f"{format_rat(effective_resistance(P, i, j))}"
-                )
+        ids = fiber.ids
+        for i, row in enumerate(resistance_rows(P)):
+            a = ids[i]
+            print("\n".join(f"{a}\t{b}\t{format_rat(x)}" for b, x in zip(ids[i + 1:], row)))
         return 0
     if op == "semipos":
         D = _pick_divisor(horizontals, args.divisor, "semipos")

@@ -22,6 +22,7 @@ one-solve-per-component formula so audits can confront the two.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 
 from .errors import DegreeMismatch, FiberMismatch, MalformedInput, NonpositiveDegree
@@ -98,16 +99,11 @@ def _incidence_vector(fiber: SpecialFiber, D: HorizontalIncidence) -> list:
     return v
 
 
-def _degree_vector(fiber: SpecialFiber) -> list:
-    """q_i = b_i a'_i: the canonical part of every weight vector d q - v."""
-    return [rat(b) * a for b, a in zip(fiber.multiplicities, fiber.normalized_degrees)]
-
-
 def _degree_form(fiber: SpecialFiber, P: PseudoinverseResult) -> tuple:
     """(z, sigma) with z = M+ q and sigma = q' M+ q for q = b * a'."""
-    q = _degree_vector(fiber)
-    z = P.solve(q)
-    return z, sum((qi * zi for qi, zi in zip(q, z)), ZERO)
+    Q, s = fiber.integer_degree_weights
+    Y, dy = P.solve_integers(Q, s)
+    return [rat(y, dy) for y in Y], rat(sum(map(operator.mul, Q, Y)), s * dy)
 
 
 def solve_vertical(
@@ -120,16 +116,17 @@ def solve_vertical(
     The defining property is re-checked exactly before returning, from
     the fiber's own data and over integers.
     """
-    v = _incidence_vector(fiber, D)
-    w = [D.degree * qi - vi for qi, vi in zip(_degree_vector(fiber), v)]
-    c = [-x for x in P.solve(w)]
+    V, dv = _integer_vector(_incidence_vector(fiber, D))
+    Q, s = fiber.integer_degree_weights
+    dn, dd = D.degree.numerator, D.degree.denominator
+    # w = d q - v = W / (dd s dv), and c = -M+ w = -Y / dy
+    W = [dn * dv * q - dd * s * x for q, x in zip(Q, V)]
+    Y, dy = P.solve_integers(W, dd * s * dv)
     b = fiber.multiplicities
-    divisor = VerticalDivisor(fiber, tuple(rat(b[i]) * c[i] for i in range(fiber.r)))
+    divisor = VerticalDivisor(fiber, tuple(rat(-b[i] * Y[i], dy) for i in range(fiber.r)))
     # S / ds + V / (dv b) = (dn / dd) A / da, times ds dv dd da b
     S, ds = _integer_pairings(fiber, divisor.coefficients)
-    V, dv = _integer_vector(v)
     A, da = _integer_vector(fiber.normalized_degrees)
-    dn, dd = D.degree.numerator, D.degree.denominator
     ks, kv, ka = dv * dd * da, ds * dd * da, ds * dv * dn
     for i in range(fiber.r):
         if b[i] * (ks * S[i] - ka * A[i]) + kv * V[i] != 0:

@@ -11,7 +11,9 @@ Serialization is canonical: fixed key order, components in fiber order,
 intersections sorted by component index with a before b, incidence maps
 sorted by id.  parse . serialize is the identity on canonical documents
 and serialize . parse canonicalizes any accepted document; errors carry
-the JSON path of the offending field.
+the JSON path of the offending field.  A document of more than
+fiber.MAX_COMPONENTS components or fiber.MAX_INTERSECTIONS intersection
+entries is refused (SchemaError) before any component is built.
 """
 
 from __future__ import annotations
@@ -20,7 +22,7 @@ import json
 from typing import Mapping, Tuple
 
 from .errors import ExactnessError, MalformedInput, SchemaError
-from .fiber import Component, HorizontalIncidence, SpecialFiber
+from .fiber import MAX_COMPONENTS, MAX_INTERSECTIONS, Component, HorizontalIncidence, SpecialFiber
 from .rationals import Rat, format_rat, parse_int, rat
 
 SCHEMA_VERSION = 1
@@ -111,6 +113,14 @@ def parse_fiber(document) -> Tuple[SpecialFiber, dict]:
 
     if not isinstance(data["components"], list) or not data["components"]:
         raise SchemaError("components: expected a nonempty array")
+    if not isinstance(data["intersections"], list):
+        raise SchemaError("intersections: expected an array")
+    size = len(data["components"]), len(data["intersections"])
+    if size[0] > MAX_COMPONENTS or size[1] > MAX_INTERSECTIONS:
+        raise SchemaError(
+            f"document has {size[0]} components and {size[1]} intersection entries; "
+            f"the limits are {MAX_COMPONENTS} and {MAX_INTERSECTIONS}"
+        )
     components = []
     for k, entry in enumerate(data["components"]):
         path = f"components[{k}]"
@@ -133,8 +143,6 @@ def parse_fiber(document) -> Tuple[SpecialFiber, dict]:
         except MalformedInput as exc:
             raise SchemaError(f"{path}: {exc}") from exc
 
-    if not isinstance(data["intersections"], list):
-        raise SchemaError("intersections: expected an array")
     triples = []
     seen_pairs = set()
     for k, entry in enumerate(data["intersections"]):

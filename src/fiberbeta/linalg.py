@@ -2,10 +2,11 @@
 
 The central object is M = (-(b_i Gamma_i . b_j Gamma_j))_ij, a weighted
 graph Laplacian whose kernel is spanned by the all-ones vector exactly
-when the fiber is connected.  One sparse symmetric elimination,
-`_eliminate`, serves both exact decompositions.  It pivots only on nonzero
-diagonal entries (fewest stored entries first, ties by index, so runs are
-bit-deterministic) and leaves behind the indices it could not pivot.
+when the fiber is connected.  M is stored as sparse rows, and one sparse
+symmetric elimination, `_eliminate`, serves both exact decompositions.  It
+pivots only on nonzero diagonal entries (fewest stored entries first, ties
+by index, kept in a heap, so runs are bit-deterministic) and leaves behind
+the indices it could not pivot.
 
 `pseudoinverse` grounds the last vertex and factors the resulting minor
 as L D L^t (an index left over means rank below r-1).  It returns the
@@ -13,20 +14,20 @@ factor, not a matrix: `PseudoinverseResult` offers M+ v by one replay of
 the factor (`solve`), and the diagonal and the entries on the edges of
 the dual graph (`diag`, `edge_entries`) by selected inversion, i.e. the
 Takahashi-Fagan-Chin recurrences over the factor's filled pattern
-(Erisman-Tinney, CACM 18(3), 1975).  Each piece carries an exact
-certificate that costs about as much as the work it checks:
+(Erisman-Tinney, CACM 18(3), 1975).  Any other n_ij comes from column i
+of M+, one solve, as do the rows streamed by `resistance_rows`.  Each piece
+carries an exact certificate that costs about as much as the work it checks:
 
 - the factor: L D L^t equals the grounded M entry for entry;
 - the selected inverse: the Takahashi equations hold on its pattern;
 - every solve: the residual M x = v - mean(v) 1 is zero and sum(x) = 0;
 - the edge entries: Foster's identity sum_edges -m_ij r(i, j) = r - 1.
 
-The dense r x r M+ is built only when a caller reads all of it (`mplus`,
-or `entry` off the diagonal and the edges, as the all-pairs resistance
-table does).  It comes from the same factor, one solve per column, and is
-then re-verified against the Penrose data exactly: symmetry, zero row
-sums, sum_j n_ij m_jk = delta_ik - 1/r, and the trace identity.  Together
-with zero row sums of M these force MM+M = M and M+MM+ = M+.
+The dense M (`RatMatrix.entries`) and the dense M+ (`mplus`, one column
+solve per column) are reference views that no production path reads.  M+
+is re-verified against the Penrose data exactly: symmetry, zero row sums,
+sum_j n_ij m_jk = delta_ik - 1/r, and the trace identity.  Together with
+zero row sums of M these force MM+M = M and M+MM+ = M+.
 
 The solve and Penrose certificates, like the defining-property check of
 `divisors.solve_vertical`, run over integers: each vector is put over one
@@ -39,12 +40,14 @@ integer multiply-adds (`_integer_matvec`) with no gcd per step.
 signs, and a leftover nonzero off-diagonal entry is an indefinite 2x2 minor.
 
 Leaf-heavy fibers (each pendant chain eliminates with no fill-in) factor
-in O(edges), and each solve, the selected inversion and their
-certificates cost O(fill); only the dense M+ costs O(r^2) entries.
+in O(edges); building M, each solve, the selected inversion and their
+certificates cost O(r + fill).
 """
 
 from __future__ import annotations
 
+import heapq
+import math
 import operator
 from dataclasses import dataclass
 from functools import cached_property
@@ -54,11 +57,10 @@ from .fiber import SpecialFiber
 from .rationals import ONE, Rat, ZERO, _integer_rows, _integer_vector, rat
 
 
-@dataclass(frozen=True)
 class RatMatrix:
-    """Dense immutable matrix of exact rationals."""
-
-    entries: tuple
+    """Immutable matrix of exact rationals: `sparse_rows[i]` holds row i's
+    nonzero entries as {j: x}, keys sorted.  Built from dense rows, or from
+    the stored rows by `from_sparse_rows`; `entries` is the dense view."""
 
     def __init__(self, entries):
         rows = tuple(tuple(rat(x) for x in row) for row in entries)
@@ -66,60 +68,53 @@ class RatMatrix:
             raise MalformedInput("matrix must be nonempty")
         if any(len(row) != len(rows[0]) for row in rows):
             raise MalformedInput("ragged matrix")
-        object.__setattr__(self, "entries", rows)
+        self.sparse_rows = tuple({j: x for j, x in enumerate(row) if x} for row in rows)
+        self.cols = len(rows[0])
+        self.entries = rows
+
+    @classmethod
+    def from_sparse_rows(cls, rows, cols: int) -> "RatMatrix":
+        M = cls.__new__(cls)
+        M.sparse_rows = tuple(rows)
+        M.cols = cols
+        return M
+
+    @cached_property
+    def entries(self) -> tuple:
+        return tuple(
+            tuple(row.get(j, ZERO) for j in range(self.cols)) for row in self.sparse_rows
+        )
 
     @property
     def rows(self) -> int:
-        return len(self.entries)
-
-    @property
-    def cols(self) -> int:
-        return len(self.entries[0])
+        return len(self.sparse_rows)
 
     def entry(self, i: int, j: int) -> Rat:
-        return self.entries[i][j]
-
-    def row(self, i: int) -> tuple:
-        return self.entries[i]
+        return self.sparse_rows[i].get(j, ZERO)
 
     def is_symmetric(self) -> bool:
-        if self.rows != self.cols:
-            return False
-        e = self.entries
-        return all(
-            e[j][i] == e[i][j] for i in range(self.rows) for j in self.nonzero_columns[i]
+        rows = self.sparse_rows
+        return self.rows == self.cols and all(
+            rows[j].get(i) == x for i, row in enumerate(rows) for j, x in row.items()
         )
 
     def row_sums(self) -> tuple:
-        return tuple(
-            sum((row[j] for j in cols), ZERO)
-            for row, cols in zip(self.entries, self.nonzero_columns)
-        )
+        return tuple(sum(row.values(), ZERO) for row in self.sparse_rows)
 
     def diagonal(self) -> tuple:
-        return tuple(self.entries[i][i] for i in range(min(self.rows, self.cols)))
+        return tuple(self.entry(i, i) for i in range(min(self.rows, self.cols)))
 
     def trace(self) -> Rat:
         return sum(self.diagonal(), ZERO)
 
     def matvec(self, v) -> list:
-        return [sum((row[j] * v[j] for j in range(self.cols) if v[j] != 0), ZERO)
-                for row in self.entries]
-
-    @cached_property
-    def nonzero_columns(self) -> tuple:
-        """Per row, the indices of nonzero entries (sparse iteration aid)."""
-        return tuple(
-            tuple(j for j, x in enumerate(row) if x != 0) for row in self.entries
-        )
+        return [sum((x * v[j] for j, x in row.items()), ZERO) for row in self.sparse_rows]
 
     @cached_property
     def integer_rows(self) -> tuple:
         """(rows, a): row i lists (j, a m_ij) over its nonzero entries, all
         integers over one common scale a."""
-        return _integer_rows(
-            [[(j, row[j]) for j in cols] for row, cols in zip(self.entries, self.nonzero_columns)]
-        )
+        return _integer_rows([row.items() for row in self.sparse_rows])
 
 
 def _integer_matvec(rows, x) -> list:
@@ -142,12 +137,8 @@ def _laplacian_row_dot(fiber: SpecialFiber, i: int, y) -> Rat:
 
 def build_laplacian(fiber: SpecialFiber) -> RatMatrix:
     """M with m_ij = -(b_i Gamma_i . b_j Gamma_j); expects a validated fiber."""
-    n = fiber.r
-    rows = [[ZERO] * n for _ in range(n)]
-    for i in range(n):
-        for j, m in _laplacian_row(fiber, i):
-            rows[i][j] = m
-    M = RatMatrix(rows)
+    rows = [{j: m for j, m in sorted(_laplacian_row(fiber, i)) if m} for i in range(fiber.r)]
+    M = RatMatrix.from_sparse_rows(rows, fiber.r)
     if any(s != 0 for s in M.row_sums()):
         raise MalformedInput(
             f"fiber {fiber.name!r} violates the fiber relation; validate() it first"
@@ -168,17 +159,19 @@ def _eliminate(work: list, active: set):
     """
     ops = []
     pivots = []
-    while True:
-        i = min(
-            (k for k in active if work[k].get(k, ZERO) != 0),
-            key=lambda k: (len(work[k]), k),
-            default=None,
-        )
-        if i is None:
-            return ops, pivots
-        d = work[i][i]
+    # (len(row), index) of every pivotable row; an entry that no longer
+    # matches its row is stale and skipped, and each row an elimination
+    # step touches is pushed again
+    heap = [(len(work[k]), k) for k in active if work[k].get(k)]
+    heapq.heapify(heap)
+    while heap:
+        n, i = heapq.heappop(heap)
+        wi = work[i]
+        if i not in active or len(wi) != n or not wi.get(i):
+            continue
+        d = wi[i]
         factors = {}
-        items = [(k, v) for k, v in work[i].items() if k != i]
+        items = [(k, v) for k, v in wi.items() if k != i]
         for j, vij in items:
             f = vij / d
             factors[j] = f
@@ -190,9 +183,12 @@ def _eliminate(work: list, active: set):
                 elif k in wj:
                     del wj[k]
             wj.pop(i, None)
+            if wj.get(j):
+                heapq.heappush(heap, (len(wj), j))
         ops.append((i, factors))
         pivots.append((i, d))
         active.discard(i)
+    return ops, pivots
 
 
 def _grounded_factor(M: RatMatrix):
@@ -202,10 +198,7 @@ def _grounded_factor(M: RatMatrix):
     under zero row sums and symmetry means ker M is larger than span(1).
     """
     last = M.rows - 1
-    work = [
-        {j: M.entries[i][j] for j in M.nonzero_columns[i] if j != last}
-        for i in range(last)
-    ]
+    work = [{j: x for j, x in row.items() if j != last} for row in M.sparse_rows[:last]]
     active = set(range(last))
     ops, pivots = _eliminate(work, active)
     if active:
@@ -252,7 +245,7 @@ def _verify_factor(M: RatMatrix, ops, pivots) -> None:
             for k, lk in col:
                 row[k] = row.get(k, ZERO) + dl * lk
     for j in range(last):
-        want = {k: M.entries[j][k] for k in M.nonzero_columns[j] if k != last}
+        want = {k: x for k, x in M.sparse_rows[j].items() if k != last}
         if {k: v for k, v in ldl[j].items() if v} != want:
             raise AssertionError(f"factor certificate: row {j} of L D L^t != grounded M")
 
@@ -386,16 +379,22 @@ class PseudoinverseResult:
 
     def solve(self, v) -> list:
         """M+ v, with the exact residual certificate M (M+ v) = v - mean(v) 1."""
+        Y, dy = self.solve_integers(*_integer_vector([rat(x) for x in v]))
+        return [rat(y, dy) for y in Y]
+
+    def solve_integers(self, W, dw) -> tuple:
+        """(Y, dy) with M+ w = Y / dy for integers W and w = W / dw: the
+        certified integer core of `solve`, for callers that keep working
+        over one common denominator."""
         r = self.r
-        V, dv = _integer_vector([rat(x) for x in v])
-        total = sum(V)
-        W, dw = [r * x - total for x in V], r * dv  # w = v - mean(v) 1 = W / dw
-        x = _grounded_solve(self._ops, self._pivots, [rat(x, dw) for x in W])
-        X, dx = _integer_vector(x)
+        total = sum(W)
+        if total:
+            W, dw = [r * x - total for x in W], r * dw  # w - mean(w) 1
+        X, dx = _integer_vector(_grounded_solve(self._ops, self._pivots, W))
         total = sum(X)
-        Y, dy = [r * x - total for x in X], r * dx  # y = x - mean(x) 1 = Y / dy
+        Y, dy = [r * x - total for x in X], r * dx * dw  # y = (x - mean(x) 1) / dw
         _verify_solve(self._M, W, dw, Y, dy)
-        return [rat(x, dy) for x in Y]
+        return Y, dy
 
     @cached_property
     def _selected(self) -> dict:
@@ -404,16 +403,29 @@ class PseudoinverseResult:
         return g
 
     @cached_property
-    def _last_column(self) -> list:
-        return self.solve([ZERO] * (self.r - 1) + [ONE])
+    def _last_integers(self) -> tuple:
+        """(L, dl) with M+ e_last = L / dl."""
+        return self.solve_integers([0] * (self.r - 1) + [1], 1)
+
+    def _column(self, c: int) -> tuple:
+        """(C, dc) with M+ e_c = C / dc: one certified solve on e_c - e_last,
+        whose forward replay stays sparse, plus M+ e_last."""
+        w = [0] * self.r
+        w[c] += 1
+        w[-1] -= 1
+        Y, dy = self.solve_integers(w, 1)
+        L, dl = self._last_integers
+        dc = math.lcm(dy, dl)
+        s, t = dc // dy, dc // dl
+        return [y * s + x * t for y, x in zip(Y, L)], dc
 
     def _g0(self, i: int, j: int) -> Rat:
         return self._selected.get(i, {}).get(j, ZERO)
 
     @cached_property
     def _diagonal(self) -> tuple:
-        y = self._last_column
-        return tuple(self._g0(i, i) + 2 * y[i] - y[-1] for i in range(self.r))
+        L, dl = self._last_integers
+        return tuple(self._g0(i, i) + rat(2 * L[i] - L[-1], dl) for i in range(self.r))
 
     def diag(self) -> tuple:
         """(n_11, ..., n_rr) by selected inversion."""
@@ -421,17 +433,17 @@ class PseudoinverseResult:
 
     @cached_property
     def _edges(self) -> dict:
-        y, M = self._last_column, self._M
+        (L, dl), M = self._last_integers, self._M
         edges = {
-            (i, j): self._g0(i, j) + y[i] + y[j] - y[-1]
-            for i in range(self.r)
-            for j in M.nonzero_columns[i]
+            (i, j): self._g0(i, j) + rat(L[i] + L[j] - L[-1], dl)
+            for i, row in enumerate(M.sparse_rows)
+            for j in row
             if i < j
         }
         # Foster's identity: sum over edges of -m_ij r(i, j) equals rank M
         diag = self.diag()
         foster = sum(
-            (-M.entries[i][j] * (diag[i] + diag[j] - 2 * nij) for (i, j), nij in edges.items()),
+            (-M.entry(i, j) * (diag[i] + diag[j] - 2 * nij) for (i, j), nij in edges.items()),
             ZERO,
         )
         if foster != self.rank:
@@ -448,24 +460,23 @@ class PseudoinverseResult:
 
     @cached_property
     def mplus(self) -> RatMatrix:
-        """The dense M+, built column by column from the same factor and
-        verified against the Penrose identities."""
-        n, y = self.r, self._last_column
-        entries = []
-        for c in range(n):
-            unit = [ONE if k == c else ZERO for k in range(n)]
-            g = _grounded_solve(self._ops, self._pivots, unit)
-            entries.append([g[k] + y[c] + y[k] - y[-1] for k in range(n)])
-        mplus = RatMatrix(entries)
+        """The dense M+, one column solve per column, verified against the
+        Penrose identities: the reference view, read by no production path."""
+        columns = map(self._column, range(self.r))
+        mplus = RatMatrix([[rat(x, dc) for x in C] for C, dc in columns])
         _verify_penrose(self._M, mplus, self.trace)
         return mplus
 
     def entry(self, i: int, j: int) -> Rat:
-        """n_ij: from the factor on the diagonal and on edges, else from the dense M+."""
+        """n_ij: from the factor on the diagonal and on edges, else from one
+        column solve."""
         if i == j:
             return self.diag()[i]
         e = self.edge_entries().get((min(i, j), max(i, j)))
-        return self.mplus.entry(i, j) if e is None else e
+        if e is not None:
+            return e
+        C, dc = self._column(i)
+        return rat(C[j], dc)
 
 
 def pseudoinverse(M: RatMatrix) -> PseudoinverseResult:
@@ -492,6 +503,20 @@ def effective_resistance(P: PseudoinverseResult, i: int, j: int) -> Rat:
     return P.entry(i, i) + P.entry(j, j) - 2 * P.entry(i, j)
 
 
+def resistance_rows(P: PseudoinverseResult):
+    """Yield [r(Gamma_i, Gamma_j) for j > i] for i = 0 .. r-2, one at a time.
+
+    r(i, j) = n_ii + n_jj - 2 n_ij over one common denominator, from the
+    certified diagonal and column i of M+ (one solve): O(r + fill) a row."""
+    n = P.r
+    D, k = _integer_vector(P.diag())
+    for i in range(n - 1):
+        C, dc = P._column(i)
+        den = math.lcm(k, dc)
+        s, t = den // k, 2 * (den // dc)
+        yield [rat((D[i] + D[j]) * s - t * C[j], den) for j in range(i + 1, n)]
+
+
 @dataclass(frozen=True)
 class PsdCertificate:
     """Outcome of an exact congruence decomposition of a symmetric matrix."""
@@ -511,7 +536,7 @@ def psd_certificate(M: RatMatrix) -> PsdCertificate:
     """
     if M.rows != M.cols or not M.is_symmetric():
         raise MalformedInput("psd_certificate needs a symmetric square matrix")
-    work = [{j: M.entries[i][j] for j in M.nonzero_columns[i]} for i in range(M.rows)]
+    work = [dict(row) for row in M.sparse_rows]
     active = set(range(M.rows))
     _, steps = _eliminate(work, active)
     pivots = tuple(d for _, d in steps)

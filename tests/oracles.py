@@ -17,6 +17,7 @@ inner loops multiply plain integers.
 from __future__ import annotations
 
 import itertools
+import json
 import math
 import random
 from fractions import Fraction
@@ -24,6 +25,7 @@ from fractions import Fraction
 import numpy as np
 
 import fiberbeta as fb
+from fiberbeta.fiber import MAX_COMPONENTS
 
 
 def to_float_matrix(M: fb.RatMatrix) -> np.ndarray:
@@ -105,6 +107,36 @@ def assert_penrose_sparse(M: fb.RatMatrix, mplus, trace, label: str = "") -> Non
         )
 
 
+def min_degree_eliminate(work: list, active: set):
+    """The elimination of `linalg._eliminate`, choosing each pivot by a
+    brute-force `min` over every active row (fewest stored entries, ties by
+    index), with the same (ops, pivots) result and in-place effect."""
+    ops, pivots = [], []
+    while True:
+        i = min(
+            (k for k in active if work[k].get(k, 0) != 0),
+            key=lambda k: (len(work[k]), k),
+            default=None,
+        )
+        if i is None:
+            return ops, pivots
+        d = work[i][i]
+        items = [(k, v) for k, v in work[i].items() if k != i]
+        factors = {}
+        for j, vij in items:
+            factors[j] = f = vij / d
+            for k, vik in items:
+                nv = work[j].get(k, 0) - f * vik
+                if nv:
+                    work[j][k] = nv
+                else:
+                    work[j].pop(k, None)
+            work[j].pop(i, None)
+        ops.append((i, factors))
+        pivots.append((i, d))
+        active.discard(i)
+
+
 def fraction_inverse(rows):
     """Gauss-Jordan inverse over Fraction; raises ZeroDivisionError if singular."""
     n = len(rows)
@@ -166,6 +198,36 @@ def bordered_pseudoinverse(M: fb.RatMatrix):
     ]
     inv = fraction_inverse(rows)
     return [[inv[i][j] - shift for j in range(n)] for i in range(n)]
+
+
+def limit_document(extra_components: int = 0, extra_entries: int = 0) -> str:
+    """A valid fiber document exactly at the size limits, plus any extras.
+
+    A 128-clique with 1872 pendant components spread over it has
+    MAX_COMPONENTS = 2000 components and 8128 + 1872 = MAX_INTERSECTIONS
+    = 10000 entries.  Every intersection number is 1, self-intersections
+    close the fiber relation and all component genera are 0.  Extra
+    components are isolated; extra entries join consecutive pendants.
+    """
+    core, n = 128, MAX_COMPONENTS + extra_components
+    pairs = list(itertools.combinations(range(core), 2))
+    pairs += [(k % core, k) for k in range(core, MAX_COMPONENTS)]
+    pairs += [(core + k, core + k + 1) for k in range(extra_entries)]
+    degree = [0] * n
+    for i, j in pairs:
+        degree[i] += 1
+        degree[j] += 1
+    return json.dumps({
+        "schema_version": 1,
+        "name": "limit",
+        "genus": len(pairs) - n + 1,  # sum_i (deg_i - 2) = 2g - 2
+        "components": [
+            {"id": f"C{i}", "multiplicity": 1, "genus": 0, "self_intersection": -degree[i]}
+            for i in range(n)
+        ],
+        "intersections": [{"a": f"C{i}", "b": f"C{j}", "value": 1} for i, j in pairs],
+        "horizontal": [{"id": "D", "degree": 1, "incidence": {"C0": 1}}],
+    })
 
 
 def random_fiber(rng: random.Random, max_components: int = 6) -> fb.SpecialFiber:

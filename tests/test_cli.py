@@ -1,3 +1,4 @@
+import hashlib
 import io
 import json
 import time
@@ -5,7 +6,10 @@ import time
 import pytest
 
 import fiberbeta as fb
+from fiberbeta import cli
 from fiberbeta.cli import main
+
+from oracles import limit_document
 
 
 def run(capsys, *argv):
@@ -231,3 +235,50 @@ def test_evaluate_rejects_composite_keys(tmp_path, capsys):
     code, out, err = run(capsys, "evaluate", str(doc), "--digits", "4")
     assert code == 1 and out == ""
     assert err == "error: log-sum key must be an integer prime, got 4\n"
+
+
+@pytest.mark.parametrize("command", ["validate", "compute"])
+@pytest.mark.parametrize("extra", [{"extra_components": 1}, {"extra_entries": 1}])
+def test_oversized_documents_exit_one(tmp_path, capsys, command, extra):
+    doc = tmp_path / "big.json"
+    doc.write_text(limit_document(**extra), encoding="utf-8")
+    code, out, err = run(capsys, command, str(doc))
+    assert code == 1 and out == ""
+    assert err.startswith("error: document has ") and err.count("\n") == 1
+    assert err.endswith("the limits are 2000 and 10000\n")
+
+
+@pytest.mark.parametrize("kind, params", [("fermat", (11, 3)), ("VII", (3, 4, 5))])
+def test_compute_reads_only_the_sparse_m_and_the_factor(tmp_path, capsys, monkeypatch, kind, params):
+    # every op of compute works from M's stored rows and the factor: the
+    # dense M view and the dense M+ are never built
+    fiber = fb.fermat_fiber(*params) if kind == "fermat" else fb.genus2_type(kind, params)
+    doc = tmp_path / "fiber.json"
+    D = fb.unit_incidence(fiber, fiber.ids[0])
+    doc.write_text(fb.serialize_fiber(fiber, [D]), encoding="utf-8")
+    made = []
+    monkeypatch.setattr(cli, "pseudoinverse", lambda M: made.append((M, fb.pseudoinverse(M))) or made[-1][1])
+    runs = [["--op", op] for op in cli.COMPUTE_OPS] + [["--op", "beta", "--divisor", D.id]]
+    for extra in runs:
+        code, out, err = run(capsys, "compute", str(doc), *extra)
+        assert code == 0 and out and err == "", extra
+    assert len(made) == len(runs)
+    for M, P in made:
+        assert "entries" not in vars(M) and "mplus" not in vars(P)
+
+
+# SHA-256 of `compute --op resistance` stdout; any change to a table byte shows here
+RESISTANCE_SHA256 = {
+    ("genus2", "VII,2,3,4"): "46d100e553f45dffaf6a39963c5390d5a184cc8d3559a248379576dd847ae0e2",
+    ("fermat", "11,3"): "781176023a3bbea2b7be8a1975326f061011d7e1b2f7edb4b0550b5bc8e41d43",
+}
+
+
+@pytest.mark.parametrize("name, params", sorted(RESISTANCE_SHA256))
+def test_resistance_table_bytes_are_pinned(tmp_path, capsys, name, params):
+    doc = tmp_path / "fiber.json"
+    run(capsys, "catalog", "emit", name, "--params", params, "--out", str(doc))
+    code, out, err = run(capsys, "compute", str(doc), "--op", "resistance")
+    assert code == 0 and err == ""
+    digest = hashlib.sha256(out.encode("utf-8")).hexdigest()
+    assert digest == RESISTANCE_SHA256[(name, params)]

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 import fiberbeta as fb
 from fiberbeta import ExactnessError, SchemaError, rat
 
-from oracles import random_fiber, random_horizontal
+from oracles import limit_document, random_fiber, random_horizontal
 
 BANANA_DOC = """
 {
@@ -129,3 +129,29 @@ def test_deeply_nested_document_is_a_schema_error():
         fb.parse_fiber("[" * 100000)
     with pytest.raises(SchemaError, match="too deeply"):
         fb.parse_fiber('{"a": ' * 100000)
+
+
+def test_documents_at_the_size_limits_parse():
+    fiber, horizontals = fb.parse_fiber(limit_document())
+    assert (fiber.r, len(fiber.intersections)) == (2000, 10000)
+    assert fb.validate(fiber).ok and set(horizontals) == {"D"}
+
+
+@pytest.mark.parametrize("extra, counts", [
+    ({"extra_components": 1}, "2001 components and 10000"),
+    ({"extra_entries": 1}, "2000 components and 10001"),
+])
+def test_oversized_documents_are_schema_errors(extra, counts):
+    with pytest.raises(SchemaError, match=f"document has {counts} intersection entries"):
+        fb.parse_fiber(limit_document(**extra))
+
+
+def test_oversized_documents_are_refused_before_building_anything():
+    # not one component entry is a valid object: the size is checked first
+    data = {"schema_version": 1, "name": "big", "genus": 2,
+            "components": [None] * 2001, "intersections": []}
+    with pytest.raises(SchemaError, match="the limits are 2000 and 10000"):
+        fb.parse_fiber(json.dumps(data))
+    data["components"], data["intersections"] = [None], [None] * 10001
+    with pytest.raises(SchemaError, match="1 components and 10001 intersection entries"):
+        fb.parse_fiber(json.dumps(data))

@@ -1,4 +1,6 @@
 import collections
+import contextlib
+import io
 import random
 
 import numpy as np
@@ -7,11 +9,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import fiberbeta as fb
-from fiberbeta import MalformedInput, RatMatrix, SingularBeyondKernel, linalg, rat
+from fiberbeta import MalformedInput, RatMatrix, SingularBeyondKernel, cli, linalg, rat
 
 from oracles import (
     assert_penrose_sparse,
     bordered_pseudoinverse,
+    min_degree_eliminate,
     object_matrix,
     psd_by_principal_minors,
     random_fiber,
@@ -296,7 +299,7 @@ def assert_factored_equals_dense(M, P, rng):
     assert diag == dense.diagonal()
     assert trace == dense.trace()
     assert edges == {
-        (i, j): dense.entry(i, j) for i in range(n) for j in M.nonzero_columns[i] if i < j
+        (i, j): dense.entry(i, j) for i, row in enumerate(M.sparse_rows) for j in row if i < j
     }
     for v, x in solves:
         assert x == dense.matvec(v)
@@ -399,7 +402,7 @@ def test_factored_certificates_reject_tampering(fermat72, monkeypatch):
 
 
 @pytest.mark.parametrize("kind, params", [("fermat", (11, 3)), ("VII", (3, 4, 5))])
-def test_production_callers_never_build_the_dense_mplus(kind, params):
+def test_production_callers_never_build_the_dense_mplus(kind, params, tmp_path, monkeypatch):
     # a later change must not bring the O(r^2) dense M+ back onto these
     # paths; fermat(11,3) is not reduced, so VII(3,4,5) covers the closed forms
     fiber = fb.fermat_fiber(*params) if kind == "fermat" else fb.genus2_type(kind, params)
@@ -416,8 +419,81 @@ def test_production_callers_never_build_the_dense_mplus(kind, params):
     if fiber.is_reduced:
         fb.beta_closed(fiber, P)
         fb.u_dot_k_closed(fiber, P)
-    assert "mplus" not in vars(P)
-    # control: a pair off the dual graph's edges does build it
+    # a pair off the dual graph's edges takes one column solve
     far = next(k for k in range(fiber.r) if k != i and k not in fiber.neighbors[i])
     fb.effective_resistance(P, i, far)
-    assert "mplus" in vars(P)
+    assert "mplus" not in vars(P)
+    # the CLI's all-pairs table streams from column solves as well
+    made = []
+    monkeypatch.setattr(cli, "pseudoinverse", lambda M: made.append(fb.pseudoinverse(M)) or made[-1])
+    doc = tmp_path / "fiber.json"
+    doc.write_text(fb.serialize_fiber(fiber), encoding="utf-8")
+    with contextlib.redirect_stdout(io.StringIO()) as out:
+        assert cli.main(["compute", str(doc), "--op", "resistance"]) == 0
+    assert out.getvalue().count("\n") == 1 + fiber.r * (fiber.r - 1) // 2
+    assert len(made) == 1 and "mplus" not in vars(made[0])
+
+
+def assert_streamed_table_equals_dense(P):
+    """resistance_rows equals n_ii + n_jj - 2 n_ij read from the dense M+."""
+    n = P.r
+    rows = list(fb.resistance_rows(P))
+    assert "mplus" not in vars(P)
+    dense = P.mplus
+    assert len(rows) == max(n - 1, 0)
+    for i, row in enumerate(rows):
+        assert row == [
+            dense.entry(i, i) + dense.entry(j, j) - 2 * dense.entry(i, j) for j in range(i + 1, n)
+        ]
+
+
+def test_streamed_resistance_table_equals_dense_on_battery(battery):
+    for prepared in battery:
+        assert_streamed_table_equals_dense(fb.pseudoinverse(prepared.M))
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), reduced=st.booleans())
+def test_streamed_resistance_table_equals_dense_on_random_fibers(seed, reduced):
+    rng = random.Random(seed)
+    fiber = random_fiber(rng) if reduced else random_nonreduced_fiber(rng)
+    assert_streamed_table_equals_dense(fb.pseudoinverse(fb.build_laplacian(fiber)))
+
+
+def assert_same_elimination(work, monkeypatch, M=None):
+    """The pivot heap gives the brute-force min rule's (ops, pivots) and
+    leftovers on `work`, and, for a matrix M, the same psd_certificate."""
+    copy = [dict(row) for row in work]
+    active, oracle_active = set(range(len(work))), set(range(len(work)))
+    assert linalg._eliminate(work, active) == min_degree_eliminate(copy, oracle_active)
+    assert (work, active) == (copy, oracle_active)
+    if M is not None:
+        cert = fb.psd_certificate(M)
+        with monkeypatch.context() as m:
+            m.setattr(linalg, "_eliminate", min_degree_eliminate)
+            assert fb.psd_certificate(M) == cert
+
+
+def test_pivot_heap_matches_min_rule_on_battery(battery, monkeypatch):
+    for prepared in battery:
+        M = prepared.M
+        last = M.rows - 1
+        grounded = [{j: x for j, x in row.items() if j != last} for row in M.sparse_rows[:last]]
+        assert_same_elimination(grounded, monkeypatch)
+        assert_same_elimination([dict(row) for row in M.sparse_rows], monkeypatch, M)
+
+
+def test_pivot_heap_matches_min_rule_on_random_matrices(monkeypatch):
+    # seeded symmetric integer matrices of every sparsity, with and without
+    # zero diagonals: fill-in, cancellation and leftover blocks all occur
+    rng = random.Random(20261019)
+    for t in range(3000):
+        n = rng.randint(1, 9)
+        sparsity = rng.random()
+        a = [[0] * n for _ in range(n)]
+        for i in range(n):
+            for j in range(i + 1 if t % 2 else i):
+                if rng.random() >= sparsity:
+                    a[i][j] = a[j][i] = rng.randint(-3, 3)
+        M = RatMatrix(a)
+        assert_same_elimination([dict(row) for row in M.sparse_rows], monkeypatch, M)
