@@ -19,8 +19,6 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 
-import mpmath
-
 from .catalog import (
     GENUS2_ARITY,
     euler_phi,
@@ -45,7 +43,7 @@ from .errors import InvalidParams
 from .fiber import unit_incidence, validate
 from .invariants import beta_direct, beta_closed, semipositivity_certificate
 from .linalg import build_laplacian, pseudoinverse
-from .logsum import FormalLogSum, evaluate, global_beta
+from .logsum import FormalLogSum, evaluate, global_beta, rounded_decimal
 from .rationals import Rat, format_rat, rat
 
 SUITES = ("table1", "fermat", "x1n")
@@ -386,28 +384,6 @@ _X1N_EXPECTED = {
 }
 
 
-def _decimal_ratio(numer: FormalLogSum, denom: FormalLogSum, digits: int) -> str:
-    """Correctly rounded decimal for (sum1)/(sum2), both nonzero."""
-    rounded = None
-    dps = digits + 25
-    while True:
-        with mpmath.workdps(dps):
-            def total(s):
-                acc = mpmath.mpf(0)
-                for p, c in s.terms:
-                    acc += mpmath.mpf(int(c.numerator)) * mpmath.log(p) / int(c.denominator)
-                return acc
-
-            value = total(numer) / total(denom)
-            candidate = int(mpmath.nint(value * mpmath.power(10, digits)))
-        if candidate == rounded:
-            sign = "-" if candidate < 0 else ""
-            body = str(abs(candidate)).rjust(digits + 1, "0")
-            return f"{sign}{body[:-digits]}.{body[-digits:]}"
-        rounded = candidate
-        dps += 25
-
-
 def _x1n_rows() -> list:
     rows = []
     for N, expected in _X1N_EXPECTED.items():
@@ -448,7 +424,7 @@ def _x1n_rows() -> list:
                 str(half_phi),
                 str(beta),
                 f"delta={delta} ; ratio computed/reference = "
-                + _decimal_ratio(beta, half_phi, 6)
+                + rounded_decimal(lambda: beta.to_mpf() / half_phi.to_mpf(), 6)
                 + f" ; beta evaluated = {evaluate(beta, 6)}"
                 + " ; the two-component example convention would halve each local beta",
             )

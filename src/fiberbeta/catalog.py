@@ -18,6 +18,7 @@ division stays fast.  Larger parameters raise InvalidParams.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -84,120 +85,6 @@ def divisors_of(n: int) -> list:
     return sorted({*small, *(n // d for d in small)})
 
 
-# -- graph realizations ---------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class EdgePrimitive:
-    u: str
-    v: str
-
-
-@dataclass(frozen=True)
-class PathPrimitive:
-    u: str
-    v: str
-    length: int
-
-
-@dataclass(frozen=True)
-class LoopPrimitive:
-    v: str
-    length: int
-
-
-@dataclass(frozen=True)
-class GraphRealization:
-    """A polarized metrized graph to be realized as a reduced fiber.
-
-    path(u, v, L) inserts L-1 genus-0 multiplicity-1 components in a
-    chain; loop(v, 1) increments p_a(v); loop(v, L >= 2) inserts L-1
-    genus-0 components forming a cycle through v.  Self-intersections are
-    then derived from the fiber relation.
-    """
-
-    vertices: tuple  # (id, genus) pairs
-    primitives: tuple
-
-    def realize(self, name: str, genus: int) -> SpecialFiber:
-        chains = [
-            prim.length
-            for prim in self.primitives
-            if isinstance(prim, PathPrimitive)
-            or (isinstance(prim, LoopPrimitive) and prim.length >= 2)
-        ]
-        # a chain of length L adds L - 1 components and L edges
-        edges = sum(isinstance(prim, EdgePrimitive) for prim in self.primitives)
-        _check_size(name, len(self.vertices) + sum(chains) - len(chains), edges + sum(chains))
-        ids = [v for v, _ in self.vertices]
-        pa = {v: g for v, g in self.vertices}
-        if len(pa) != len(ids):
-            raise InvalidParams("duplicate vertex id in realization")
-        edges = []
-        counter = 0
-
-        def fresh() -> str:
-            nonlocal counter
-            counter += 1
-            nid = f"n{counter}"
-            ids.append(nid)
-            pa[nid] = 0
-            return nid
-
-        def chain(u: str, v: str, length: int) -> None:
-            prev = u
-            for _ in range(length - 1):
-                nid = fresh()
-                edges.append((prev, nid))
-                prev = nid
-            edges.append((prev, v))
-
-        for prim in self.primitives:
-            if isinstance(prim, EdgePrimitive):
-                edges.append((prim.u, prim.v))
-            elif isinstance(prim, PathPrimitive):
-                if prim.length < 1:
-                    raise InvalidParams("path length must be >= 1")
-                chain(prim.u, prim.v, prim.length)
-            elif isinstance(prim, LoopPrimitive):
-                if prim.length < 1:
-                    raise InvalidParams("loop length must be >= 1")
-                if prim.length == 1:
-                    pa[prim.v] += 1
-                else:
-                    chain(prim.v, prim.v, prim.length)
-            else:
-                raise InvalidParams(f"unknown primitive {prim!r}")
-        weight = {}
-        degree = {v: 0 for v in ids}
-        for u, v in edges:
-            if u == v:
-                raise InvalidParams("realized self-loop; use LoopPrimitive")
-            key = (u, v) if ids.index(u) < ids.index(v) else (v, u)
-            weight[key] = weight.get(key, 0) + 1
-            degree[u] += 1
-            degree[v] += 1
-        components = tuple(
-            Component(
-                id=v, multiplicity=1, genus=pa[v], self_intersection=rat(-degree[v])
-            )
-            for v in ids
-        )
-        fiber = SpecialFiber(
-            name=name,
-            components=components,
-            intersections={(u, v): rat(w) for (u, v), w in weight.items()},
-            genus=genus,
-        )
-        report = validate(fiber)
-        if not report.ok:
-            raise InvalidParams(
-                f"realization {name!r} is inconsistent: "
-                + "; ".join(c.name for c in report.failures())
-            )
-        return fiber
-
-
 # -- banana fibers --------------------------------------------------------------
 
 
@@ -228,7 +115,65 @@ def banana(s: int, p1: int, p2: int) -> SpecialFiber:
 
 # -- genus-2 reduction types ----------------------------------------------------
 
-GENUS2_ARITY = {"I": 0, "II": 1, "III": 1, "IV": 2, "V": 2, "VI": 3, "VII": 3}
+#: Each type's metrized graph: its (id, genus) vertices and the ends (u, v)
+#: of its chains; the k-th chain has the k-th parameter as its length.
+GENUS2_GRAPHS = {
+    "I": ((("u", 2),), ()),
+    "II": ((("u", 1), ("v", 1)), (("u", "v"),)),
+    "III": ((("u", 1),), (("u", "u"),)),
+    "IV": ((("u", 1), ("w", 0)), (("u", "w"), ("w", "w"))),
+    "V": ((("u", 0),), (("u", "u"), ("u", "u"))),
+    "VI": ((("u", 0), ("w", 0)), (("u", "w"), ("u", "u"), ("w", "w"))),
+    "VII": ((("u", 0), ("w", 0)), (("u", "w"), ("u", "w"), ("u", "w"))),
+}
+GENUS2_ARITY = {kind: len(ends) for kind, (_, ends) in GENUS2_GRAPHS.items()}
+
+
+def _realize(name: str, vertices: tuple, chains: list) -> SpecialFiber:
+    """The reduced genus-2 fiber of a metrized graph.
+
+    A chain (u, v, L) inserts L-1 genus-0 multiplicity-1 components
+    n1, n2, ... between u and v, numbered in chain order, except that
+    (v, v, 1) raises p_a(v) by one.  Self-intersections then follow from
+    the fiber relation.
+    """
+    # a chain of length L adds L - 1 components and L entries, (v, v, 1) none
+    _check_size(
+        name,
+        len(vertices) + sum(n - 1 for *_, n in chains),
+        sum(n for u, v, n in chains if u != v or n > 1),
+    )
+    genus = dict(vertices)
+    fresh = (f"n{k}" for k in itertools.count(1))
+    edges = []
+    for u, v, n in chains:
+        if u == v and n == 1:
+            genus[v] += 1
+            continue
+        path = [u, *(next(fresh) for _ in range(n - 1)), v]
+        genus.update((x, 0) for x in path[1:-1])
+        edges += zip(path, path[1:])
+    order = {x: k for k, x in enumerate(genus)}
+    weight = {}
+    degree = dict.fromkeys(genus, 0)
+    for edge in edges:
+        key = tuple(sorted(edge, key=order.__getitem__))
+        weight[key] = weight.get(key, 0) + 1
+        for x in edge:
+            degree[x] += 1
+    fiber = SpecialFiber(
+        name=name,
+        components=tuple(Component(x, 1, g, rat(-degree[x])) for x, g in genus.items()),
+        intersections={key: rat(w) for key, w in weight.items()},
+        genus=2,
+    )
+    report = validate(fiber)
+    if not report.ok:
+        raise InvalidParams(
+            f"realization {name!r} is inconsistent: "
+            + "; ".join(c.name for c in report.failures())
+        )
+    return fiber
 
 
 def genus2_type(kind: str, params=()) -> SpecialFiber:
@@ -244,46 +189,8 @@ def genus2_type(kind: str, params=()) -> SpecialFiber:
     if not all(isinstance(x, int) and x >= 1 for x in params):
         raise InvalidParams(f"type {kind} parameters must be positive integers")
     name = f"{kind}({','.join(str(x) for x in params)})" if params else "I"
-    if kind == "I":
-        real = GraphRealization((("u", 2),), ())
-    elif kind == "II":
-        (a,) = params
-        real = GraphRealization((("u", 1), ("v", 1)), (PathPrimitive("u", "v", a),))
-    elif kind == "III":
-        (a,) = params
-        real = GraphRealization((("u", 1),), (LoopPrimitive("u", a),))
-    elif kind == "IV":
-        a, b = params
-        real = GraphRealization(
-            (("u", 1), ("w", 0)),
-            (PathPrimitive("u", "w", a), LoopPrimitive("w", b)),
-        )
-    elif kind == "V":
-        a, b = params
-        real = GraphRealization(
-            (("u", 0),), (LoopPrimitive("u", a), LoopPrimitive("u", b))
-        )
-    elif kind == "VI":
-        a, b, c = params
-        real = GraphRealization(
-            (("u", 0), ("w", 0)),
-            (
-                PathPrimitive("u", "w", a),
-                LoopPrimitive("u", b),
-                LoopPrimitive("w", c),
-            ),
-        )
-    else:  # VII
-        a, b, c = params
-        real = GraphRealization(
-            (("u", 0), ("w", 0)),
-            (
-                PathPrimitive("u", "w", a),
-                PathPrimitive("u", "w", b),
-                PathPrimitive("u", "w", c),
-            ),
-        )
-    return real.realize(name, genus=2)
+    vertices, ends = GENUS2_GRAPHS[kind]
+    return _realize(name, vertices, [(u, v, n) for (u, v), n in zip(ends, params)])
 
 
 @dataclass(frozen=True)

@@ -27,7 +27,7 @@ from dataclasses import dataclass
 
 from .errors import DegreeMismatch, FiberMismatch, MalformedInput, NonpositiveDegree
 from .fiber import HorizontalIncidence, SpecialFiber, unit_incidence
-from .linalg import PseudoinverseResult, _integer_matvec, _laplacian_row_dot
+from .linalg import PseudoinverseResult, _integer_matvec
 from .rationals import Rat, ZERO, _integer_vector, rat
 
 
@@ -221,7 +221,8 @@ def u_dot_component_closed(
     if D.degree != 1:
         raise DegreeMismatch(f"closed form needs degree 1, got {D.degree}")
     v = D.vector(fiber)
-    s = -_laplacian_row_dot(fiber, i, P.diag())
+    diag = P.diag()
+    s = -sum((m * diag[j] for j, m in P.M.sparse_rows[i].items()), ZERO)
     return s + 2 * v[i] - rat(2, fiber.r)
 
 

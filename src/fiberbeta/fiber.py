@@ -242,9 +242,6 @@ class HorizontalIncidence:
             v[fiber.index[cid]] = val
         return v
 
-    def total(self) -> Rat:
-        return sum((v for _, v in self.incidence), ZERO)
-
 
 def unit_incidence(fiber: SpecialFiber, component_id: str) -> HorizontalIncidence:
     """Degree-1 divisor meeting only the named component: v = e_l."""

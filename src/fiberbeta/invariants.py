@@ -15,6 +15,7 @@ in the production path.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from typing import Optional
 
@@ -28,12 +29,7 @@ from .divisors import (
 )
 from .errors import DegreeMismatch, FiberMismatch, NotReduced
 from .fiber import HorizontalIncidence, SpecialFiber
-from .linalg import (
-    PseudoinverseResult,
-    _laplacian_row,
-    _laplacian_row_dot,
-    effective_resistance,
-)
+from .linalg import PseudoinverseResult, effective_resistance
 from .rationals import Rat, ZERO, rat
 
 
@@ -115,9 +111,7 @@ def beta_closed(fiber: SpecialFiber, P: PseudoinverseResult) -> BetaReport:
     diag = P.diag()
     a = fiber.canonical_degrees
     # sum_ij n_ii n_jj m_ij = diag' M diag through the sparse rows of M
-    quad_mm = sum(
-        (diag[i] * _laplacian_row_dot(fiber, i, diag) for i in range(n)), ZERO
-    )
+    quad_mm = sum(map(operator.mul, diag, P.M.matvec(diag)), ZERO)
     mpa = P.solve(a)
     quad_aa = sum((a[i] * mpa[i] for i in range(n)), ZERO)
     lin = sum((a[i] * diag[i] for i in range(n)), ZERO)
@@ -172,16 +166,16 @@ def semipositivity_certificate(
     margins = None
     if fiber.is_reduced:
         n = fiber.r
-        diag = P.diag()
+        md = P.M.matvec(P.diag())
         d_free_list = []
         margin_list = []
-        for i in range(n):
-            (_, m_ii), *edges = _laplacian_row(fiber, i)
-            s = _laplacian_row_dot(fiber, i, diag)
-            d_free_list.append(m_ii + 2 * fiber.components[i].genus - 2 + s + rat(2, n))
+        for i, row in enumerate(P.M.sparse_rows):
+            m_ii = row.get(i, ZERO)
+            d_free_list.append(m_ii + 2 * fiber.components[i].genus - 2 + md[i] + rat(2, n))
             # m_ii + sum_j r(i,j) m_ij over the dual-graph edges
             margin_list.append(
-                m_ii + sum((effective_resistance(P, i, j) * m for j, m in edges), ZERO)
+                m_ii
+                + sum((effective_resistance(P, i, j) * m for j, m in row.items() if j != i), ZERO)
             )
         d_free = tuple(d_free_list)
         margins = tuple(margin_list)

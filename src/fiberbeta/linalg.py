@@ -23,6 +23,10 @@ carries an exact certificate that costs about as much as the work it checks:
 - every solve: the residual M x = v - mean(v) 1 is zero and sum(x) = 0;
 - the edge entries: Foster's identity sum_edges -m_ij r(i, j) = r - 1.
 
+The factor keeps the M it was built from as `P.M`.  The closed forms in
+`invariants` and `divisors` read its stored rows, M diag by `RatMatrix.matvec`,
+and never rebuild M from the fiber.
+
 The dense M (`RatMatrix.entries`) and the dense M+ (`mplus`, one column
 solve per column) are reference views that no production path reads.  M+
 is re-verified against the Penrose data exactly: symmetry, zero row sums,
@@ -122,22 +126,14 @@ def _integer_matvec(rows, x) -> list:
     return [sum([v * x[j] for j, v in row]) for row in rows]
 
 
-def _laplacian_row(fiber: SpecialFiber, i: int):
-    """The stored entries (j, m_ij) of row i of M, diagonal first."""
-    b = fiber.multiplicities
-    yield i, -rat(b[i] * b[i]) * fiber.components[i].self_intersection
-    for j in fiber.neighbors[i]:
-        yield j, -rat(b[i] * b[j]) * fiber.pair_value(i, j)
-
-
-def _laplacian_row_dot(fiber: SpecialFiber, i: int, y) -> Rat:
-    """sum_j m_ij y_j over the sparse row i of M, rebuilt from the fiber."""
-    return sum((m * y[j] for j, m in _laplacian_row(fiber, i)), ZERO)
-
-
 def build_laplacian(fiber: SpecialFiber) -> RatMatrix:
     """M with m_ij = -(b_i Gamma_i . b_j Gamma_j); expects a validated fiber."""
-    rows = [{j: m for j, m in sorted(_laplacian_row(fiber, i)) if m} for i in range(fiber.r)]
+    b = fiber.multiplicities
+    rows = []
+    for i, c in enumerate(fiber.components):
+        row = [(i, -rat(b[i] * b[i]) * c.self_intersection)]
+        row += ((j, -rat(b[i] * b[j]) * fiber.pair_value(i, j)) for j in fiber.neighbors[i])
+        rows.append({j: m for j, m in sorted(row) if m})
     M = RatMatrix.from_sparse_rows(rows, fiber.r)
     if any(s != 0 for s in M.row_sums()):
         raise MalformedInput(
@@ -370,7 +366,7 @@ class PseudoinverseResult:
     """
 
     def __init__(self, M: RatMatrix, ops, pivots):
-        self._M = M
+        self.M = M
         self._ops = ops
         self._pivots = pivots
         self.r = M.rows
@@ -393,7 +389,7 @@ class PseudoinverseResult:
         X, dx = _integer_vector(_grounded_solve(self._ops, self._pivots, W))
         total = sum(X)
         Y, dy = [r * x - total for x in X], r * dx * dw  # y = (x - mean(x) 1) / dw
-        _verify_solve(self._M, W, dw, Y, dy)
+        _verify_solve(self.M, W, dw, Y, dy)
         return Y, dy
 
     @cached_property
@@ -419,13 +415,14 @@ class PseudoinverseResult:
         s, t = dc // dy, dc // dl
         return [y * s + x * t for y, x in zip(Y, L)], dc
 
-    def _g0(self, i: int, j: int) -> Rat:
-        return self._selected.get(i, {}).get(j, ZERO)
+    def _n(self, i: int, j: int) -> Rat:
+        """n_ij = G0_ij + y_i + y_j - y_last, for (i, j) on the factor's pattern."""
+        L, dl = self._last_integers
+        return self._selected.get(i, {}).get(j, ZERO) + rat(L[i] + L[j] - L[-1], dl)
 
     @cached_property
     def _diagonal(self) -> tuple:
-        L, dl = self._last_integers
-        return tuple(self._g0(i, i) + rat(2 * L[i] - L[-1], dl) for i in range(self.r))
+        return tuple(self._n(i, i) for i in range(self.r))
 
     def diag(self) -> tuple:
         """(n_11, ..., n_rr) by selected inversion."""
@@ -433,13 +430,8 @@ class PseudoinverseResult:
 
     @cached_property
     def _edges(self) -> dict:
-        (L, dl), M = self._last_integers, self._M
-        edges = {
-            (i, j): self._g0(i, j) + rat(L[i] + L[j] - L[-1], dl)
-            for i, row in enumerate(M.sparse_rows)
-            for j in row
-            if i < j
-        }
+        M = self.M
+        edges = {(i, j): self._n(i, j) for i, row in enumerate(M.sparse_rows) for j in row if i < j}
         # Foster's identity: sum over edges of -m_ij r(i, j) equals rank M
         diag = self.diag()
         foster = sum(
@@ -464,7 +456,7 @@ class PseudoinverseResult:
         Penrose identities: the reference view, read by no production path."""
         columns = map(self._column, range(self.r))
         mplus = RatMatrix([[rat(x, dc) for x in C] for C, dc in columns])
-        _verify_penrose(self._M, mplus, self.trace)
+        _verify_penrose(self.M, mplus, self.trace)
         return mplus
 
     def entry(self, i: int, j: int) -> Rat:

@@ -95,16 +95,33 @@ class FormalLogSum:
     def is_zero(self) -> bool:
         return not self.terms
 
+    def to_mpf(self):
+        """The sum's value at mpmath's working precision."""
+        total = mpmath.mpf(0)
+        for p, c in self.terms:
+            total += mpmath.mpf(int(c.numerator)) * mpmath.log(p) / int(c.denominator)
+        return total
+
     def __str__(self) -> str:
         if not self.terms:
             return "0"
         return " + ".join(f"{format_rat(c)}*log({p})" for p, c in self.terms)
 
 
-def _fixed_decimal(n: int, digits: int) -> str:
-    sign = "-" if n < 0 else ""
-    body = str(abs(n)).rjust(digits + 1, "0")
-    return f"{sign}{body[:-digits]}.{body[-digits:]}"
+def rounded_decimal(value, digits: int) -> str:
+    """`digits` correctly rounded places of value(), an mpmath expression
+    that is re-evaluated at a higher working precision until they settle."""
+    rounded = None
+    dps = digits + 25
+    while True:
+        with mpmath.workdps(dps):
+            candidate = int(mpmath.nint(value() * mpmath.power(10, digits)))
+        if candidate == rounded:
+            sign = "-" if candidate < 0 else ""
+            body = str(abs(candidate)).rjust(digits + 1, "0")
+            return f"{sign}{body[:-digits]}.{body[-digits:]}"
+        rounded = candidate
+        dps += 25
 
 
 def evaluate(logsum: FormalLogSum, digits: int) -> str:
@@ -113,18 +130,7 @@ def evaluate(logsum: FormalLogSum, digits: int) -> str:
         raise MalformedInput(f"digits must be an integer >= 1, got {digits!r}")
     if logsum.is_zero():
         return "0"
-    rounded = None
-    dps = digits + 25
-    while True:
-        with mpmath.workdps(dps):
-            total = mpmath.mpf(0)
-            for p, c in logsum.terms:
-                total += mpmath.mpf(int(c.numerator)) * mpmath.log(p) / int(c.denominator)
-            candidate = int(mpmath.nint(total * mpmath.power(10, digits)))
-        if candidate == rounded:
-            return _fixed_decimal(candidate, digits)
-        rounded = candidate
-        dps += 25
+    return rounded_decimal(logsum.to_mpf, digits)
 
 
 @dataclass(frozen=True)

@@ -7,6 +7,7 @@ import pytest
 
 import fiberbeta as fb
 from fiberbeta import cli
+from fiberbeta.catalog import catalog_entry
 from fiberbeta.cli import main
 
 from oracles import limit_document
@@ -267,18 +268,59 @@ def test_compute_reads_only_the_sparse_m_and_the_factor(tmp_path, capsys, monkey
         assert "entries" not in vars(M) and "mplus" not in vars(P)
 
 
-# SHA-256 of `compute --op resistance` stdout; any change to a table byte shows here
-RESISTANCE_SHA256 = {
-    ("genus2", "VII,2,3,4"): "46d100e553f45dffaf6a39963c5390d5a184cc8d3559a248379576dd847ae0e2",
-    ("fermat", "11,3"): "781176023a3bbea2b7be8a1975326f061011d7e1b2f7edb4b0550b5bc8e41d43",
+# SHA-256 of `compute` stdout per op, on a document whose one horizontal
+# divisor D meets the first and the last component; any change to an
+# output byte shows here
+COMPUTE_ARGV = {
+    "beta": ["--op", "beta"],
+    "beta-divisor": ["--op", "beta", "--divisor", "D"],
+    "vdiv": ["--op", "vdiv"],
+    "udiv": ["--op", "udiv"],
+    "semipos": ["--op", "semipos"],
+    "resistance": ["--op", "resistance"],
+}
+COMPUTE_SHA256 = {
+    ("fermat", "11,3", "beta"): "f3453630fd5eec4aada5a3df430b4bee2a6d609b32107990863ee22b7909bf8d",
+    ("fermat", "11,3", "beta-divisor"): "f3453630fd5eec4aada5a3df430b4bee2a6d609b32107990863ee22b7909bf8d",
+    ("fermat", "11,3", "vdiv"): "504b99f35077afa126b9a2676f23e3a898a5a1c903ca259c7fcb53fd7281d234",
+    ("fermat", "11,3", "udiv"): "63e02acf290e87b8c1cb93deccdf77de0adc16d41fbd1cadeaf0a098b9870c97",
+    ("fermat", "11,3", "semipos"): "9e68e6463752a57122ca01ab2a1ef404817f8fe94c74cbcf2703242efd27206d",
+    ("fermat", "11,3", "resistance"): "781176023a3bbea2b7be8a1975326f061011d7e1b2f7edb4b0550b5bc8e41d43",
+    ("genus2", "VII,2,3,4", "beta"): "685fcb1d75b27daac5d394716a1e8b5b74785f042af1b52c65f7f1557fbae2c3",
+    ("genus2", "VII,2,3,4", "beta-divisor"): "e402c8a2e44d5b5c42f3964b1331a098374a026a0448a153c5cfcc416f474763",
+    ("genus2", "VII,2,3,4", "vdiv"): "100bd294236a06a869654764074017dce691c483420e8090f9a4a65ef65f908c",
+    ("genus2", "VII,2,3,4", "udiv"): "56ba0ab3b79e16c9f22ea758a6225aa68703c293e07d0983b486777e3bcc5bb8",
+    ("genus2", "VII,2,3,4", "semipos"): "0e0293c619ad1de3d9f279b53dca24a7e882f0ba8e5218af6181d59e1387b704",
+    ("genus2", "VII,2,3,4", "resistance"): "46d100e553f45dffaf6a39963c5390d5a184cc8d3559a248379576dd847ae0e2",
 }
 
 
-@pytest.mark.parametrize("name, params", sorted(RESISTANCE_SHA256))
-def test_resistance_table_bytes_are_pinned(tmp_path, capsys, name, params):
+@pytest.mark.parametrize("name, params, op", sorted(COMPUTE_SHA256))
+def test_resistance_table_bytes_are_pinned(tmp_path, capsys, name, params, op):
+    fiber = catalog_entry(name, params.split(","))
+    D = fb.HorizontalIncidence("D", 1, {fiber.ids[0]: fb.rat(1, 2), fiber.ids[-1]: fb.rat(1, 2)})
     doc = tmp_path / "fiber.json"
-    run(capsys, "catalog", "emit", name, "--params", params, "--out", str(doc))
-    code, out, err = run(capsys, "compute", str(doc), "--op", "resistance")
+    doc.write_text(fb.serialize_fiber(fiber, [D]), encoding="utf-8")
+    code, out, err = run(capsys, "compute", str(doc), *COMPUTE_ARGV[op])
     assert code == 0 and err == ""
     digest = hashlib.sha256(out.encode("utf-8")).hexdigest()
-    assert digest == RESISTANCE_SHA256[(name, params)]
+    assert digest == COMPUTE_SHA256[(name, params, op)]
+
+
+# SHA-256 of `catalog emit genus2` stdout, one parameter set per type
+EMIT_SHA256 = {
+    "I": "99e740309050a3a353481d828bb76bf1f1dd7fb9a14bda28e405ecc5e81997b0",
+    "II,3": "a563b4d9aa866bacd07b37bf0edc53dd69942dcf9266e373ab48a88a54663ca9",
+    "III,4": "9042c4b6c21a6e6240890dd9c3f9e6cf3225f6525b73c6e833dc3a3fbbc0655b",
+    "IV,2,3": "7af346a0464cc247a795e3cba1ee00af96e39e7ff7bc0feef43fb0fd545004a7",
+    "V,3,2": "534dabb3bef89861708a4e95b16b51e6a23892d1ce300c1aaeb7bbc01c05b4bf",
+    "VI,2,3,4": "1074f10307d2c17e14f4f88f2c1a2a4623a4dabc62113f61d181f1f78406f4c9",
+    "VII,3,4,5": "5d8c912e7673d9ffc293aae9414b0c828c804100635cae5a83564be0ad98bb6a",
+}
+
+
+@pytest.mark.parametrize("params", sorted(EMIT_SHA256))
+def test_genus2_emit_bytes_are_pinned(capsys, params):
+    code, out, err = run(capsys, "catalog", "emit", "genus2", "--params", params)
+    assert code == 0 and err == ""
+    assert hashlib.sha256(out.encode("utf-8")).hexdigest() == EMIT_SHA256[params]

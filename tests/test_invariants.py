@@ -133,6 +133,28 @@ def test_semipositivity_divisor_free_matches_on_reduced(battery):
             cert = fb.semipositivity_certificate(f, P, D)
             assert cert.values == cert.divisor_free_values, f.name
             assert all(m >= 0 for m in cert.resistance_margins)
+            assert_margins_are_divisor_free_minus_genus(f, cert)
+
+
+def assert_margins_are_divisor_free_minus_genus(fiber, cert):
+    # the margins read the edge entries (selected inversion), the
+    # divisor-free values the diagonal: the two routes must agree
+    for i, c in enumerate(fiber.components):
+        assert cert.resistance_margins[i] == cert.divisor_free_values[i] - 2 * c.genus, (
+            fiber.name,
+            c.id,
+        )
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1))
+def test_resistance_margins_match_divisor_free_on_random_fibers(seed):
+    rng = random.Random(seed)
+    fiber = random_fiber(rng)
+    P = fb.pseudoinverse(fb.build_laplacian(fiber))
+    cert = fb.semipositivity_certificate(fiber, P, random_horizontal(rng, fiber, 1))
+    assert cert.values == cert.divisor_free_values
+    assert_margins_are_divisor_free_minus_genus(fiber, cert)
 
 
 def test_beta_nonnegative_on_reduced_minimal(battery):
@@ -175,3 +197,48 @@ def test_relabeling_permutes_vd_gamma_resistances_and_fixes_beta(seed, reduced):
     assert fb.beta_direct(relabeled, Q, D).beta == fb.beta_direct(fiber, P, D).beta
     if fiber.is_reduced:
         assert fb.beta_closed(relabeled, Q).beta == fb.beta_closed(fiber, P).beta
+
+
+@settings(max_examples=40, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), reduced=st.booleans())
+def test_fiber_shifts_of_vd_fix_the_square_k_dot_u_beta_and_neron_pairing(seed, reduced):
+    # V_D is canonical only up to rational multiples of the whole fiber;
+    # every quantity built from it must not see the representative
+    rng = random.Random(seed)
+    fiber = random_fiber(rng) if reduced else random_nonreduced_fiber(rng)
+    P = fb.pseudoinverse(fb.build_laplacian(fiber))
+    g = fiber.genus
+
+    def shift():
+        return rat(rng.randint(-9, 9), rng.randint(1, 7))
+
+    D = random_horizontal(rng, fiber, 1)
+    report = fb.beta_direct(fiber, P, D)
+    vd = fb.solve_vertical(fiber, P, D).shifted(shift())
+    gamma = []
+    for cid in fiber.ids:
+        vi = fb.solve_vertical(fiber, P, fb.unit_incidence(fiber, cid)).shifted(shift())
+        diff = VerticalDivisor(fiber, [a - c for a, c in zip(vd.coefficients, vi.coefficients)])
+        gamma.append(fb.pair_vertical(vd, vd) - fb.pair_vertical(diff, diff))
+    assert tuple(gamma) == report.gamma
+    u = VerticalDivisor(fiber, gamma)
+    square = VerticalDivisor(fiber, [2 * a + c for a, c in zip(vd.coefficients, gamma)])
+    shifted_square, kdu = fb.pair_vertical(square, square), fb.k_dot(fiber, u)
+    assert (shifted_square, kdu) == (report.shifted_square, report.k_dot_u)
+    assert rat(1 - g, g) * shifted_square + 2 * kdu == report.beta
+
+    def degree_zero(name):
+        a, b = (dict(random_horizontal(rng, fiber, 1).incidence) for _ in range(2))
+        return HorizontalIncidence(name, 0, {c: a.get(c, 0) - b.get(c, 0) for c in {*a, *b}})
+
+    z1, z2 = degree_zero("Z1"), degree_zero("Z2")
+    h = rat(rng.randint(-5, 5))
+    v1 = fb.phi(fiber, P, z1).shifted(shift())
+    v2 = fb.phi(fiber, P, z2).shifted(shift())
+    pairing = (
+        h
+        + fb.horizontal_dot_vertical(z1, v2)
+        + fb.horizontal_dot_vertical(z2, v1)
+        + fb.pair_vertical(v1, v2)
+    )
+    assert pairing == fb.neron_pairing(fiber, P, z1, z2, h)
