@@ -17,7 +17,8 @@ evaluator.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
+from functools import partial
 
 from .catalog import (
     GENUS2_ARITY,
@@ -88,20 +89,7 @@ class AuditReport:
 
     def to_json(self) -> str:
         return json.dumps(
-            {
-                "suite": self.suite,
-                "rows": [
-                    {
-                        "label": row.label,
-                        "expected": row.expected,
-                        "computed": row.computed,
-                        "status": row.status,
-                        "note": row.note,
-                    }
-                    for row in self.rows
-                ],
-                "summary": self.counts(),
-            },
+            {"suite": self.suite, "rows": [asdict(row) for row in self.rows], "summary": self.counts()},
             indent=2,
             ensure_ascii=True,
         )
@@ -113,25 +101,15 @@ def _fmt(value) -> str:
     return format_rat(value)
 
 
-def _asserted(label, expected, computed, note="") -> AuditRow:
-    ok = _fmt(expected) == _fmt(computed)
-    return AuditRow(
-        label=label,
-        expected=_fmt(expected),
-        computed=_fmt(computed),
-        status="MATCH" if ok else "MISMATCH",
-        note=note,
-    )
+def _row(asserted: bool, label, expected, computed, note="") -> AuditRow:
+    """MATCH or MISMATCH when asserted, else INFO."""
+    expected, computed = _fmt(expected), _fmt(computed)
+    status = ("MATCH" if expected == computed else "MISMATCH") if asserted else "INFO"
+    return AuditRow(label, expected, computed, status, note)
 
 
-def _info(label, expected, computed, note="") -> AuditRow:
-    return AuditRow(
-        label=label,
-        expected=_fmt(expected),
-        computed=_fmt(computed),
-        status="INFO",
-        note=note,
-    )
+_asserted = partial(_row, True)
+_info = partial(_row, False)
 
 
 # -- genus-2 table ---------------------------------------------------------------
@@ -150,21 +128,12 @@ def _table1_rows() -> list:
             fiber = genus2_type(kind, params)
             P = pseudoinverse(build_laplacian(fiber))
             engine = beta_closed(fiber, P).beta
-            delta = engine - ref.beta
             le_eps = "yes" if engine <= ref.epsilon else "NO"
             note = f"eps={format_rat(ref.epsilon)}; beta<=eps: {le_eps}"
-            label = f"beta {ref.label}"
-            if kind in _TABLE1_ASSERTED:
-                rows.append(_asserted(label, ref.beta, engine, note))
-            else:
-                rows.append(
-                    _info(
-                        label,
-                        ref.beta,
-                        engine,
-                        note + f"; delta={format_rat(delta)} (parameter convention not asserted)",
-                    )
-                )
+            asserted = kind in _TABLE1_ASSERTED
+            if not asserted:
+                note += f"; delta={format_rat(engine - ref.beta)} (parameter convention not asserted)"
+            rows.append(_row(asserted, f"beta {ref.label}", ref.beta, engine, note))
     return rows
 
 
@@ -265,6 +234,10 @@ def _gamma_family_rows(p: int, r: int, gamma, fam, index) -> list:
     return rows
 
 
+#: The tabulated bounds for single primes, coefficient of log p.
+_TABULATED_BOUNDS = {(5, 0): rat(188, 125), (7, 2): rat(37277, 6860)}
+
+
 def _fermat_rows() -> list:
     rows = []
     for p, r in FERMAT_CASES:
@@ -321,42 +294,25 @@ def _fermat_rows() -> list:
                 f"delta={format_rat(report.beta - poly)}",
             )
         )
-        if (p, r) == (5, 0):
+        bound = _TABULATED_BOUNDS.get((p, r))
+        if bound is not None:
             rows.append(
                 _info(
-                    f"{label} beta vs tabulated p=5 bound (log 5 coefficient)",
-                    rat(188, 125),
+                    f"{label} beta vs tabulated p={p} bound (log {p} coefficient)",
+                    bound,
                     report.beta,
-                    f"delta={format_rat(report.beta - rat(188, 125))}",
-                )
-            )
-        if (p, r) == (7, 2):
-            rows.append(
-                _info(
-                    f"{label} beta vs tabulated p=7 bound (log 7 coefficient)",
-                    rat(37277, 6860),
-                    report.beta,
-                    f"delta={format_rat(report.beta - rat(37277, 6860))}",
+                    f"delta={format_rat(report.beta - bound)}",
                 )
             )
 
         # (U_D . Gamma_x): closed degree-1 form vs the pairing route.
         closed = u_dot_component_closed(fiber, P, D, fiber.index["x"])
         paired = pair_with_component(gv.u_divisor, fiber.index["x"])
-        if r == 0:
-            rows.append(
-                _asserted(f"{label} (U_D.Gamma_x) closed vs pairing", closed, paired)
-            )
-        else:
-            rows.append(
-                _info(
-                    f"{label} (U_D.Gamma_x) closed vs pairing",
-                    closed,
-                    paired,
-                    "closed degree-1 form is proved for reduced fibers only; "
-                    f"delta={format_rat(paired - closed)}",
-                )
-            )
+        note = "" if r == 0 else (
+            "closed degree-1 form is proved for reduced fibers only; "
+            f"delta={format_rat(paired - closed)}"
+        )
+        rows.append(_row(r == 0, f"{label} (U_D.Gamma_x) closed vs pairing", closed, paired, note))
 
         # Canonical-divisor constant: coefficient on L_x of (2g-2) V_D mod fiber,
         # normalized so the coefficient on L_y vanishes.

@@ -3,11 +3,13 @@
 Covers the two-component fibers meeting in s points ("banana"), the
 semistable genus-2 reduction types I..VII realized from their metrized
 graphs, the modular-curve fibers of level N at each bad prime, and the
-Fermat-curve fibers of prime exponent.  Each generator validates its
-output; the Fermat constructor additionally re-derives the reference
-vertical divisors from its own intersection data and refuses to return a
-fiber that fails that self-check, which makes the reconstructed incidence
-structure falsifiable.
+Fermat-curve fibers of prime exponent.  Every fiber is built from its
+dual graph by one `_graph_fiber`, which derives the self-intersections
+from the fiber relation, and each generator validates its output.  The
+Fermat constructor validates inside a self-check that also re-derives the
+reference vertical divisors from the fiber's own intersection data, and
+it refuses to return a fiber that fails it, which makes the reconstructed
+incidence structure falsifiable.
 
 Every generator bounds its output before it allocates anything: a fiber
 has at most MAX_COMPONENTS components and MAX_INTERSECTIONS stored
@@ -20,6 +22,7 @@ from __future__ import annotations
 
 import itertools
 import math
+from collections import Counter
 from dataclasses import dataclass
 
 from .divisors import solve_vertical
@@ -53,6 +56,37 @@ def _check_size(name: str, components: int, entries: int) -> None:
             f"{name} would have {components} components and {entries} intersection "
             f"entries; the limits are {MAX_COMPONENTS} and {MAX_INTERSECTIONS}"
         )
+
+
+def _graph_fiber(name: str, genus: int, vertices: list, edges: dict) -> SpecialFiber:
+    """The fiber of a dual graph, not yet validated.
+
+    `vertices` lists (id, multiplicity, p_a) in component order and `edges`
+    maps (a, b) to the intersection number (Gamma_a . Gamma_b).  Each
+    self-intersection follows from the fiber relation
+    b_i Gamma_i^2 = -sum_j b_j (Gamma_i . Gamma_j).
+    """
+    b = {x: m for x, m, _ in vertices}
+    meets = dict.fromkeys(b, 0)
+    for (x, y), n in edges.items():
+        meets[x] += b[y] * n
+        meets[y] += b[x] * n
+    return SpecialFiber(
+        name=name,
+        components=[Component(x, m, g, rat(-meets[x], m)) for x, m, g in vertices],
+        intersections=edges,
+        genus=genus,
+    )
+
+
+def _validated(fiber: SpecialFiber) -> SpecialFiber:
+    """The fiber, or InvalidParams naming the validation checks it fails."""
+    report = validate(fiber)
+    if not report.ok:
+        raise InvalidParams(
+            f"{fiber.name} is inconsistent: " + "; ".join(c.name for c in report.failures())
+        )
+    return fiber
 
 
 # -- small number theory -------------------------------------------------------
@@ -97,20 +131,9 @@ def banana(s: int, p1: int, p2: int) -> SpecialFiber:
     g = p1 + p2 + s - 1
     if g <= 1:
         raise InvalidGenus(f"banana({s},{p1},{p2}) has genus {g} <= 1")
-    components = (
-        Component("G1", 1, p1, rat(-s)),
-        Component("G2", 1, p2, rat(-s)),
+    return _validated(
+        _graph_fiber(f"banana({s},{p1},{p2})", g, [("G1", 1, p1), ("G2", 1, p2)], {("G1", "G2"): s})
     )
-    fiber = SpecialFiber(
-        name=f"banana({s},{p1},{p2})",
-        components=components,
-        intersections={("G1", "G2"): rat(s)},
-        genus=g,
-    )
-    report = validate(fiber)
-    if not report.ok:
-        raise InvalidParams(f"banana({s},{p1},{p2}) failed validation")
-    return fiber
 
 
 # -- genus-2 reduction types ----------------------------------------------------
@@ -134,8 +157,7 @@ def _realize(name: str, vertices: tuple, chains: list) -> SpecialFiber:
 
     A chain (u, v, L) inserts L-1 genus-0 multiplicity-1 components
     n1, n2, ... between u and v, numbered in chain order, except that
-    (v, v, 1) raises p_a(v) by one.  Self-intersections then follow from
-    the fiber relation.
+    (v, v, 1) raises p_a(v) by one.
     """
     # a chain of length L adds L - 1 components and L entries, (v, v, 1) none
     _check_size(
@@ -153,27 +175,8 @@ def _realize(name: str, vertices: tuple, chains: list) -> SpecialFiber:
         path = [u, *(next(fresh) for _ in range(n - 1)), v]
         genus.update((x, 0) for x in path[1:-1])
         edges += zip(path, path[1:])
-    order = {x: k for k, x in enumerate(genus)}
-    weight = {}
-    degree = dict.fromkeys(genus, 0)
-    for edge in edges:
-        key = tuple(sorted(edge, key=order.__getitem__))
-        weight[key] = weight.get(key, 0) + 1
-        for x in edge:
-            degree[x] += 1
-    fiber = SpecialFiber(
-        name=name,
-        components=tuple(Component(x, 1, g, rat(-degree[x])) for x, g in genus.items()),
-        intersections={key: rat(w) for key, w in weight.items()},
-        genus=2,
-    )
-    report = validate(fiber)
-    if not report.ok:
-        raise InvalidParams(
-            f"realization {name!r} is inconsistent: "
-            + "; ".join(c.name for c in report.failures())
-        )
-    return fiber
+    weight = Counter(tuple(sorted(edge)) for edge in edges)
+    return _validated(_graph_fiber(name, 2, [(x, 1, g) for x, g in genus.items()], weight))
 
 
 def genus2_type(kind: str, params=()) -> SpecialFiber:
@@ -306,12 +309,9 @@ def x1n_fiber(N: int, p: int) -> SpecialFiber:
     qp = rat(g - int(s) + 1, 2)
     if qp.denominator != 1 or qp < 0:
         raise InvalidN(f"component genus formula gave {qp} for N={N}, p={p}")
-    fiber = banana(int(s), int(qp), int(qp))
-    return SpecialFiber(
-        name=f"x1n({N})@p={p}",
-        components=fiber.components,
-        intersections=fiber.intersections,
-        genus=fiber.genus,
+    q = int(qp)
+    return _validated(
+        _graph_fiber(f"x1n({N})@p={p}", g, [("G1", 1, q), ("G2", 1, q)], {("G1", "G2"): int(s)})
     )
 
 
@@ -346,35 +346,17 @@ def fermat_component_ids(p: int, r: int) -> dict:
 
 
 def _build_fermat(p: int, r: int) -> SpecialFiber:
-    s = p - 3 - 2 * r
+    """fermat(p, r) from its dual graph, not yet validated: the main
+    components meet pairwise once, each alpha its p pendants once."""
     fam = fermat_component_ids(p, r)
-    mains = fam["x"] + fam["yz"] + fam["beta"] + fam["alpha"]
-    components = []
-    for cid in fam["x"] + fam["yz"] + fam["beta"]:
-        components.append(Component(cid, 1, 0, rat(1 - p)))
-    inter = {}
-    for i, a in enumerate(mains):
-        for b in mains[i + 1:]:
-            inter[(a, b)] = rat(1)
-    for i in range(r):
-        alpha = fam["alpha"][i]
-        components.append(Component(alpha, 2, 0, rat(1 - p)))
-        for j in range(p):
-            pend = f"{alpha}.{j+1}"
-            components.append(Component(pend, 1, 0, rat(-2)))
-            inter[(alpha, pend)] = rat(1)
-    g = (p - 1) * (p - 2) // 2
-    order = fam["x"] + fam["yz"] + fam["beta"]
-    for i in range(r):
-        order.append(fam["alpha"][i])
-        order.extend(f"{fam['alpha'][i]}.{j+1}" for j in range(p))
-    by_id = {c.id: c for c in components}
-    return SpecialFiber(
-        name=f"fermat({p},{r})",
-        components=tuple(by_id[cid] for cid in order),
-        intersections=inter,
-        genus=g,
-    )
+    reduced = fam["x"] + fam["yz"] + fam["beta"]
+    vertices = [(x, 1, 0) for x in reduced]
+    edges = dict.fromkeys(itertools.combinations(reduced + fam["alpha"], 2), 1)
+    for alpha in fam["alpha"]:
+        pendants = [f"{alpha}.{j+1}" for j in range(p)]
+        vertices += [(alpha, 2, 0), *((x, 1, 0) for x in pendants)]
+        edges.update(dict.fromkeys(((alpha, x) for x in pendants), 1))
+    return _graph_fiber(f"fermat({p},{r})", (p - 1) * (p - 2) // 2, vertices, edges)
 
 
 def _equal_mod_fiber(fiber: SpecialFiber, y1, y2) -> bool:
@@ -403,27 +385,21 @@ def _verify_fermat(fiber: SpecialFiber, p: int, r: int) -> None:
         )
     P = pseudoinverse(build_laplacian(fiber))
     fam = fermat_component_ids(p, r)
-    inv_p = rat(1, p)
-    for cid in fam["x"] + fam["yz"] + fam["beta"]:
+    alphas = set(fam["alpha"])
+    for cid in fam["x"] + fam["yz"] + fam["beta"] + fam["alpha"]:
         got = solve_vertical(fiber, P, unit_incidence(fiber, cid)).coefficients
         want = [rat(0)] * fiber.r
-        want[fiber.index[cid]] = inv_p
+        want[fiber.index[cid]] = rat(1, p)
+        tail = ""
+        if cid in alphas:
+            tail = f" + (1/{2*p}) sum L_{cid}.j"
+            for j in range(p):
+                want[fiber.index[f"{cid}.{j+1}"]] = rat(1, 2 * p)
         if not _equal_mod_fiber(fiber, got, want):
-            raise SelfCheckFailed(f"{fiber.name}: V_{cid} != (1/{p}) L_{cid} mod fiber")
-    for alpha in fam["alpha"]:
-        got = solve_vertical(fiber, P, unit_incidence(fiber, alpha)).coefficients
-        want = [rat(0)] * fiber.r
-        want[fiber.index[alpha]] = inv_p
-        for j in range(p):
-            want[fiber.index[f"{alpha}.{j+1}"]] = rat(1, 2 * p)
-        if not _equal_mod_fiber(fiber, got, want):
-            raise SelfCheckFailed(
-                f"{fiber.name}: V_{alpha} != (1/{p}) L_{alpha} "
-                f"+ (1/{2*p}) sum L_{alpha}.j mod fiber"
-            )
+            raise SelfCheckFailed(f"{fiber.name}: V_{cid} != (1/{p}) L_{cid}{tail} mod fiber")
 
 
-def fermat_fiber(p: int, r: int, self_check: bool = True) -> SpecialFiber:
+def fermat_fiber(p: int, r: int) -> SpecialFiber:
     """Fermat-curve special fiber of prime exponent p > 3 with 2r + s = p - 3.
 
     Components: L_x, L_y, L_z and s components L_beta_j (multiplicity 1,
@@ -431,7 +407,8 @@ def fermat_fiber(p: int, r: int, self_check: bool = True) -> SpecialFiber:
     2, genus 0, self-intersection 1-p) each carrying p pendant components
     (multiplicity 1, genus 0, self-intersection -2, meeting only their
     alpha once); all non-pendant components pairwise meet exactly once.
-    The genus is (p-1)(p-2)/2.
+    The genus is (p-1)(p-2)/2.  The fiber is returned only once it passes
+    the reference-divisor self-check.
     """
     if not (isinstance(p, int) and p > 3):
         raise InvalidParams(f"exponent must be a prime > 3, got {p}")
@@ -445,8 +422,7 @@ def fermat_fiber(p: int, r: int, self_check: bool = True) -> SpecialFiber:
     if not is_prime(p):
         raise InvalidParams(f"exponent must be a prime > 3, got {p}")
     fiber = _build_fermat(p, r)
-    if self_check:
-        _verify_fermat(fiber, p, r)
+    _verify_fermat(fiber, p, r)
     return fiber
 
 
@@ -496,20 +472,20 @@ GENERATORS = {
 
 def catalog_entry(name: str, params: list) -> SpecialFiber:
     """Dispatch a generator by name with string parameters (CLI surface)."""
-    if name == "banana":
-        if len(params) != 3:
-            raise InvalidParams("banana takes s,p1,p2")
-        return banana(int(params[0]), int(params[1]), int(params[2]))
     if name == "genus2":
         if not params:
             raise InvalidParams("genus2 takes TYPE[,a,b,c]")
         return genus2_type(params[0], tuple(int(x) for x in params[1:]))
-    if name == "x1n":
-        if len(params) != 2:
-            raise InvalidParams("x1n takes N,p")
-        return x1n_fiber(int(params[0]), int(params[1]))
-    if name == "fermat":
-        if len(params) != 2:
-            raise InvalidParams("fermat takes p,r")
-        return fermat_fiber(int(params[0]), int(params[1]))
-    raise InvalidParams(f"unknown catalog generator {name!r}")
+    # the generators with integer parameters, and those parameters' names;
+    # looked up per call, so a wrapper bound over a generator is called
+    integer_generators = {
+        "banana": (banana, "s,p1,p2"),
+        "x1n": (x1n_fiber, "N,p"),
+        "fermat": (fermat_fiber, "p,r"),
+    }
+    if name not in integer_generators:
+        raise InvalidParams(f"unknown catalog generator {name!r}")
+    generator, usage = integer_generators[name]
+    if len(params) != len(usage.split(",")):
+        raise InvalidParams(f"{name} takes {usage}")
+    return generator(*map(int, params))

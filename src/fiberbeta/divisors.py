@@ -71,8 +71,15 @@ class GammaVector:
 
 
 def _same_fiber(a: SpecialFiber, b: SpecialFiber) -> None:
+    """FiberMismatch unless a and b are one fiber: O(1) when they are the
+    same object, else compared by value."""
     if a is not b and a != b:
-        raise FiberMismatch(f"operands live on {a.name!r} and {b.name!r}")
+        raise FiberMismatch(f"operands live on {getattr(a, 'name', None)!r} and {b.name!r}")
+
+
+def _check_factor(fiber: SpecialFiber, P: PseudoinverseResult) -> None:
+    """FiberMismatch unless P factors the M that build_laplacian made from fiber."""
+    _same_fiber(P.M.fiber, fiber)
 
 
 def _integer_pairings(fiber: SpecialFiber, y) -> tuple:
@@ -116,6 +123,7 @@ def solve_vertical(
     The defining property is re-checked exactly before returning, from
     the fiber's own data and over integers.
     """
+    _check_factor(fiber, P)
     V, dv = _integer_vector(_incidence_vector(fiber, D))
     Q, s = fiber.integer_degree_weights
     dn, dd = D.degree.numerator, D.degree.denominator
@@ -174,6 +182,7 @@ def gamma_u(
     matrix-vector products for the whole vector); the literal definition
     is available as gamma_by_definition and agrees exactly.
     """
+    _check_factor(fiber, P)
     if D.degree <= 0:
         raise NonpositiveDegree(f"gamma_u needs positive degree, got {D.degree}")
     v = _incidence_vector(fiber, D)
@@ -218,6 +227,7 @@ def u_dot_component_closed(
     value against pair_with_component(U_D, i) and report rather than
     assert (the audit suites do exactly that).
     """
+    _check_factor(fiber, P)
     if D.degree != 1:
         raise DegreeMismatch(f"closed form needs degree 1, got {D.degree}")
     v = D.vector(fiber)

@@ -37,6 +37,10 @@ class FiberMismatch(FiberBetaError):
     """Operands belong to different fibers."""
 
 
+class WorkLimitExceeded(FiberBetaError):
+    """Eliminating the intersection matrix would take more work than the limit."""
+
+
 class NonpositiveDegree(FiberBetaError):
     """An operation requiring positive degree was given degree <= 0."""
 

@@ -23,16 +23,23 @@ from .errors import FiberMismatch, MalformedInput
 from .rationals import Rat, ZERO, _integer_rows, _integer_vector, format_rat, rat
 
 #: Most components a fiber may have, whether a catalog generator builds it
-#: or a document (`documents.parse_fiber`) describes it.  The limits bound
-#: the input and the memory, not the time, which follows the fill-in of the
-#: factor.  At the limits, `compute --op beta` on a 128-clique carrying 1872
+#: or a document (`documents.parse_fiber`) describes it.  The size limits
+#: bound the input and the memory; MAX_ELIMINATION_WORK bounds the time.  At
+#: the size limits, `compute --op beta` on a 128-clique carrying 1872
 #: pendant components (2000 components, 10000 entries) took 17.5 s and 33 MB
 #: peak RSS (fractions backend, one Intel Xeon core); fermat(61,29) takes
-#: about 1 s.  Random graphs fill in almost completely: with 100, 200 and 400
-#: components and five entries per component it took 3.9 s, 39 s and 518 s.
+#: about 1 s.
 MAX_COMPONENTS = 2000
 #: Most stored (nonzero, off-diagonal) intersection entries it may have.
 MAX_INTERSECTIONS = 10000
+#: Most work one elimination of M may do, counted as k^2 for each pivot
+#: whose row has k other entries when it is eliminated.  The densest fiber
+#: the size limits admit, a 141-clique, needs 904 890 and fermat(139,0)
+#: 866 525.  Random connected graphs with five entries per component fill
+#: in almost completely: they need about 60 000 at 100 components, 0.4
+#: million at 200 and 3 million at 400, where an unbounded `compute --op
+#: beta` took 518 s.
+MAX_ELIMINATION_WORK = 10**6
 
 
 @dataclass(frozen=True)

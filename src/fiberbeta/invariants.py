@@ -21,13 +21,15 @@ from typing import Optional
 
 from .divisors import (
     VerticalDivisor,
+    _check_factor,
     _component_pairings,
     _degree_form,
+    _same_fiber,
     gamma_u,
     pair_vertical,
     solve_vertical,
 )
-from .errors import DegreeMismatch, FiberMismatch, NotReduced
+from .errors import DegreeMismatch, NotReduced
 from .fiber import HorizontalIncidence, SpecialFiber
 from .linalg import PseudoinverseResult, effective_resistance
 from .rationals import Rat, ZERO, rat
@@ -67,8 +69,7 @@ class SemipositivityCertificate:
 
 def k_dot(fiber: SpecialFiber, V: VerticalDivisor) -> Rat:
     """(K . V) = sum_i y_i a_i by adjunction."""
-    if V.fiber is not fiber and V.fiber != fiber:
-        raise FiberMismatch(f"divisor lives on {V.fiber.name!r}, not {fiber.name!r}")
+    _same_fiber(V.fiber, fiber)
     a = fiber.canonical_degrees
     return sum((y * a[i] for i, y in enumerate(V.coefficients) if y != 0), ZERO)
 
@@ -103,6 +104,7 @@ def beta_direct(
 
 def beta_closed(fiber: SpecialFiber, P: PseudoinverseResult) -> BetaReport:
     """Divisor-free beta via the four-term closed formula (reduced fibers only)."""
+    _check_factor(fiber, P)
     if not fiber.is_reduced:
         raise NotReduced(
             f"closed beta formula needs a reduced fiber; {fiber.name!r} is not"
@@ -132,6 +134,7 @@ def u_dot_k_closed(fiber: SpecialFiber, P: PseudoinverseResult) -> Rat:
     V_i^2 = -(q - e_i)' M+ (q - e_i) with q = b * a', so only one
     matrix-vector product is needed.
     """
+    _check_factor(fiber, P)
     if not fiber.is_reduced:
         raise NotReduced(
             f"(U.K) closed form needs a reduced fiber; {fiber.name!r} is not"

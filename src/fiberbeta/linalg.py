@@ -56,15 +56,18 @@ import operator
 from dataclasses import dataclass
 from functools import cached_property
 
-from .errors import MalformedInput, SingularBeyondKernel
-from .fiber import SpecialFiber
+from .errors import MalformedInput, SingularBeyondKernel, WorkLimitExceeded
+from .fiber import MAX_ELIMINATION_WORK, SpecialFiber
 from .rationals import ONE, Rat, ZERO, _integer_rows, _integer_vector, rat
 
 
 class RatMatrix:
     """Immutable matrix of exact rationals: `sparse_rows[i]` holds row i's
     nonzero entries as {j: x}, keys sorted.  Built from dense rows, or from
-    the stored rows by `from_sparse_rows`; `entries` is the dense view."""
+    the stored rows by `from_sparse_rows`; `entries` is the dense view.
+    `fiber` is the fiber whose M this is, when `build_laplacian` built it."""
+
+    fiber = None
 
     def __init__(self, entries):
         rows = tuple(tuple(rat(x) for x in row) for row in entries)
@@ -139,6 +142,7 @@ def build_laplacian(fiber: SpecialFiber) -> RatMatrix:
         raise MalformedInput(
             f"fiber {fiber.name!r} violates the fiber relation; validate() it first"
         )
+    M.fiber = fiber
     return M
 
 
@@ -151,10 +155,13 @@ def _eliminate(work: list, active: set):
     ops lists (pivot_index, {j: factor}) in the order applied, pivots the
     matching (index, pivot_value).  Indices that could not be pivoted stay
     in `active`; their rows hold the remaining Schur complement, whose
-    diagonal is zero.
+    diagonal is zero.  A pivot whose row holds k other entries makes k^2
+    updates; past MAX_ELIMINATION_WORK of them in all it raises
+    WorkLimitExceeded.
     """
     ops = []
     pivots = []
+    work_done = 0
     # (len(row), index) of every pivotable row; an entry that no longer
     # matches its row is stale and skipped, and each row an elimination
     # step touches is pushed again
@@ -168,6 +175,12 @@ def _eliminate(work: list, active: set):
         d = wi[i]
         factors = {}
         items = [(k, v) for k, v in wi.items() if k != i]
+        work_done += len(items) ** 2
+        if work_done > MAX_ELIMINATION_WORK:
+            raise WorkLimitExceeded(
+                f"eliminating M needs more than {MAX_ELIMINATION_WORK} entry updates, "
+                f"the limit; stopped after {len(ops)} pivots"
+            )
         for j, vij in items:
             f = vij / d
             factors[j] = f

@@ -7,9 +7,8 @@ working precision is raised until the digit string stabilizes, which
 terminates because a nonzero rational combination of prime logarithms is
 irrational and therefore never sits on a rounding boundary.
 
-Aggregation weights each place's local beta by its residue weight f_v
-(so the contribution is f_v * beta_v * log p_v); the unweighted variant
-is available through `weighted=False`.
+Aggregation weights each place's local beta by its residue weight f_v,
+so the contribution is f_v * beta_v * log p_v.
 """
 
 from __future__ import annotations
@@ -173,8 +172,8 @@ class GlobalModel:
             )
 
 
-def global_beta(model: GlobalModel, weighted: bool = True) -> FormalLogSum:
-    """sum_v f_v * beta_v attached to log p_v (f_v = 1 when weighted=False).
+def global_beta(model: GlobalModel) -> FormalLogSum:
+    """sum_v f_v * beta_v attached to log p_v.
 
     Irreducible fibers contribute 0 and produce no term.  Non-reduced
     fibers require the place to carry a chosen degree-1 divisor.
@@ -197,8 +196,7 @@ def global_beta(model: GlobalModel, weighted: bool = True) -> FormalLogSum:
             raise NotReduced(
                 f"place {place.place_id}: non-reduced fiber needs a chosen divisor"
             )
-        weight = place.residue_degree if weighted else 1
-        contribution = weight * beta
+        contribution = place.residue_degree * beta
         if contribution != 0:
             p = place.residue_prime
             terms[p] = terms.get(p, ZERO) + contribution

@@ -1,4 +1,5 @@
 import hashlib
+import importlib
 import json
 
 import pytest
@@ -86,6 +87,12 @@ AUDIT_SHA256 = {
     "fermat": "134495a7dfa02566115c64101933762876771695275d68fae46684690d088a5a",
     "x1n": "2573fdb8831b2fcee549debaca1f4fbdc6d5a1b2bb70c78d8b67d8fc86bbfa12",
 }
+# and of its JSON mirror
+AUDIT_JSON_SHA256 = {
+    "table1": "1e572890bed4c0730ca18cfb7790380935537c2526c4a2a6dc435963f90fcc05",
+    "fermat": "462249d62fba80e20ed96e554b24efbf0973ab33a9e68bceee22ecd7076f59d4",
+    "x1n": "45f265ae5f11d1f8127f1a8fb12c1f7933ee94000967b99f873e214f38c6359d",
+}
 
 
 def test_reports_are_byte_deterministic():
@@ -96,6 +103,8 @@ def test_reports_are_byte_deterministic():
         assert a.to_json() == b.to_json()
         digest = hashlib.sha256(a.to_text().encode("utf-8")).hexdigest()
         assert digest == AUDIT_SHA256[suite], suite
+        digest = hashlib.sha256(a.to_json().encode("utf-8")).hexdigest()
+        assert digest == AUDIT_JSON_SHA256[suite], suite
 
 
 def test_json_mirror_matches_rows():
@@ -105,6 +114,16 @@ def test_json_mirror_matches_rows():
     assert len(data["rows"]) == len(report.rows)
     assert data["rows"][0]["label"] == report.rows[0].label
     assert data["summary"] == report.counts()
+
+
+def test_a_failed_assertion_is_a_mismatch_row(monkeypatch):
+    audit_module = importlib.import_module("fiberbeta.audit")
+    monkeypatch.setattr(audit_module, "x1n_genus", lambda N: 24)
+    report = fb.audit("x1n")
+    assert report.failed
+    bad = row(report, "x1n(35) genus")
+    assert (bad.status, bad.expected, bad.computed) == ("MISMATCH", "25", "24")
+    assert row(report, "x1n(35) s at p=5").status == "MATCH"
 
 
 def test_mismatch_rows_carry_both_values_and_flip_failed():

@@ -12,7 +12,7 @@ from fiberbeta import (
     SelfCheckFailed,
     rat,
 )
-from fiberbeta.catalog import _verify_fermat
+from fiberbeta.catalog import _build_fermat, _graph_fiber, _validated, _verify_fermat
 
 from conftest import prepare
 
@@ -28,6 +28,32 @@ def test_banana_examples():
         fb.banana(1, 0, 0)
     with pytest.raises(InvalidParams):
         fb.banana(0, 1, 1)
+
+
+def test_graph_fiber_takes_self_intersections_from_the_fiber_relation():
+    # a multiplicity-2 centre meeting three leaves, one of them twice
+    edges = {("c", "a"): 1, ("c", "b"): 1, ("d", "c"): 2}
+    star = _graph_fiber("star", 2, [("c", 2, 0), ("a", 1, 0), ("b", 1, 0), ("d", 1, 1)], edges)
+    assert star.ids == ("c", "a", "b", "d")
+    assert [c.self_intersection for c in star.components] == [-2, -2, -2, -4]
+    assert star.intersection("c", "d") == 2
+    assert all(star.fiber_relation_defect(i) == 0 for i in range(star.r))
+
+
+def test_validated_names_the_failed_checks():
+    two = [("G1", 1, 1), ("G2", 1, 1)]
+    assert _validated(_graph_fiber("ok", 2, two, {("G1", "G2"): 1})).genus == 2
+    with pytest.raises(InvalidParams, match=r"^wrong is inconsistent: genus-consistency$"):
+        _validated(_graph_fiber("wrong", 3, two, {("G1", "G2"): 1}))
+    with pytest.raises(InvalidParams, match="connectivity"):
+        _validated(_graph_fiber("apart", 2, two, {}))
+
+
+def test_fermat_fibers_are_validated_once(monkeypatch):
+    names = []
+    monkeypatch.setattr(fb.catalog, "validate", lambda f: names.append(f.name) or fb.validate(f))
+    fb.fermat_fiber(7, 2)
+    assert names == ["fermat(7,2)"]
 
 
 def test_genus2_realizations():
@@ -138,7 +164,7 @@ def test_fermat_examples(fermat50, fermat72):
 
 
 def test_fermat_self_check_is_falsifiable():
-    fiber = fb.fermat_fiber(7, 2, self_check=False)
+    fiber = _build_fermat(7, 2)
     # tamper with one intersection: an alpha1 pendant now also meets alpha2
     tampered = list(fiber.intersections)
     tampered.append(("alpha2", "alpha1.1", rat(1)))
@@ -215,8 +241,8 @@ def test_catalog_entry_dispatch():
 def test_generators_refuse_oversized_parameters_before_building():
     # counted from the parameters: fermat(p, r) has p - r main components
     # meeting pairwise, plus p pendants on each of the r alpha components
-    assert fb.fermat_fiber(61, 29, self_check=False).r == 1801
-    assert fb.fermat_fiber(139, 0, self_check=False).r == 139  # 9591 entries
+    assert _build_fermat(61, 29).r == 1801
+    assert _build_fermat(139, 0).r == 139  # 9591 entries
     oversized = [
         lambda: fb.fermat_fiber(10000019, 0),
         lambda: fb.fermat_fiber(10**40, 0),  # too large even to test for primality

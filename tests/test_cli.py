@@ -324,3 +324,76 @@ def test_genus2_emit_bytes_are_pinned(capsys, params):
     code, out, err = run(capsys, "catalog", "emit", "genus2", "--params", params)
     assert code == 0 and err == ""
     assert hashlib.sha256(out.encode("utf-8")).hexdigest() == EMIT_SHA256[params]
+
+
+# SHA-256 of `catalog emit` stdout for the other generators
+CATALOG_EMIT_SHA256 = {
+    ("banana", "1,1,1"): "4d8cae0388621b301e228510672686f345a52d029a5ce7180a85c0427e340899",
+    ("banana", "3,0,0"): "ea153afba1e04911658daba3914e51806d7cda2f1f4782c75e049651f4f06f64",
+    ("x1n", "35,5"): "eddb90be210fb5317bd13f2bef3547979a445ca2ed3d977a4cca017abf3ff501",
+    ("x1n", "35,7"): "a9e627215f3a03737453bd83fb4389ff730b4f2b0ffeffdc56f8167d160fe9dd",
+    ("x1n", "55,11"): "796b9946de26d9c173541c25899641fc3402249411cbcbcd0aee7e29bce5c250",
+    ("fermat", "5,0"): "f5ed888f10361f93b36e134eaa2fcb483b91dd9bb74728cbf52af9728c83cf1c",
+    ("fermat", "7,2"): "8a309b5c4480339149c83e7e06e9ddf4cc36f6db10c703b2c8c21aef0ad50def",
+    ("fermat", "13,5"): "5c3fd8dd1189cae2b14b1fbbd585cc13157733e4e4c70c2ce3eeb67f7482a988",
+    ("fermat", "19,8"): "75a58655d5cf1572fc4db64b0d5449192ffb8829204ad02b6ccf3b1f2fa14843",
+}
+
+
+@pytest.mark.parametrize("name, params", sorted(CATALOG_EMIT_SHA256))
+def test_catalog_emit_bytes_are_pinned(capsys, name, params):
+    code, out, err = run(capsys, "catalog", "emit", name, "--params", params)
+    assert code == 0 and err == ""
+    assert hashlib.sha256(out.encode("utf-8")).hexdigest() == CATALOG_EMIT_SHA256[(name, params)]
+
+
+# the one stderr line of each refused parameter set, exit code 1
+REFUSED_PARAMS = {
+    ("banana", "1"): "banana takes s,p1,p2",
+    ("banana", "0,1,1"): "banana needs s >= 1, got 0",
+    ("banana", "1,0,1"): "banana(1,0,1) has genus 1 <= 1",
+    ("banana", "a,b,c"): "bad --params 'a,b,c': invalid literal for int() with base 10: 'a'",
+    ("genus2", ""): "genus2 takes TYPE[,a,b,c]",
+    ("genus2", "VIII,1"): "unknown genus-2 type 'VIII'",
+    ("genus2", "II,1,2"): "type II takes 1 parameter(s), got 2",
+    ("genus2", "II,0"): "type II parameters must be positive integers",
+    ("x1n", "35"): "x1n takes N,p",
+    ("x1n", "1,1"): "level must be an integer > 1, got 1",
+    ("x1n", "36,2"): "level 36 is not squarefree",
+    ("x1n", "21,3"): "level 21 admits no coprime factorization Q*R with Q, R >= 4",
+    ("x1n", "35,11"): "11 is not a prime divisor of 35",
+    ("fermat", "5"): "fermat takes p,r",
+    ("fermat", "5,0,0"): "fermat takes p,r",
+    ("fermat", "9,0"): "exponent must be a prime > 3, got 9",
+    ("fermat", "5,-1"): "r must be a nonnegative integer, got -1",
+    ("fermat", "7,3"): "fermat(7,3) needs s = p - 3 - 2r >= 0",
+    ("fermat", "149,0"): (
+        "fermat(149,0) would have 149 components and 11026 intersection entries; "
+        "the limits are 2000 and 10000"
+    ),
+    ("nope", "1"): "unknown catalog generator 'nope'",
+}
+
+
+@pytest.mark.parametrize("name, params", sorted(REFUSED_PARAMS))
+def test_refused_catalog_parameters_print_one_pinned_line(capsys, name, params):
+    extra = ["--params", params] if params else []
+    code, out, err = run(capsys, "catalog", "emit", name, *extra)
+    assert code == 1 and out == ""
+    assert err == f"error: {REFUSED_PARAMS[(name, params)]}\n"
+
+
+def test_elimination_past_the_work_limit_exits_one(tmp_path, capsys, monkeypatch):
+    doc = tmp_path / "fermat.json"
+    code, _, _ = run(capsys, "catalog", "emit", "fermat", "--params", "11,3", "--out", str(doc))
+    assert code == 0
+    code, out, err = run(capsys, "compute", str(doc), "--op", "beta")
+    assert code == 0 and err == ""
+    # fermat(11,3): the 8 main components meet pairwise, so the grounded
+    # factor does far more than 100 updates
+    monkeypatch.setattr(fb.linalg, "MAX_ELIMINATION_WORK", 100)
+    for argv in (["compute", str(doc), "--op", "beta"], ["catalog", "emit", "fermat", "--params", "11,3"]):
+        code, out, err = run(capsys, *argv)
+        assert code == 1 and out == ""
+        assert err.startswith("error: eliminating M needs more than 100 entry updates")
+        assert err.count("\n") == 1

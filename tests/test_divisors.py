@@ -37,16 +37,59 @@ def test_solve_vertical_examples(banana111, fermat50):
 
 
 def test_solve_vertical_rejects_a_factor_of_another_fiber():
-    # II(3) and III(4) both have four components; the factor of one
-    # solves its own M correctly, but V_D built from it fails the other
-    # fiber's defining property
+    # II(3) and III(4) both have four components; the factor of one is
+    # refused on the other before anything is solved
     fiber, other = fb.genus2_type("II", (3,)), fb.genus2_type("III", (4,))
     assert fiber.r == other.r
     P_other = fb.pseudoinverse(fb.build_laplacian(other))
-    P_other.solve([rat(1)] + [rat(0)] * (fiber.r - 1))
+    D = fb.unit_incidence(fiber, fiber.ids[0])
+    with pytest.raises(FiberMismatch):
+        fb.solve_vertical(fiber, P_other, D)
+
+
+def test_solve_vertical_postcondition_catches_a_wrong_solve():
+    # a factor of the right fiber whose solves come from another fiber's
+    # factor: each solve passes its own residual certificate against the
+    # other M, but V_D fails this fiber's defining property
+    fiber, other = fb.genus2_type("II", (3,)), fb.genus2_type("III", (4,))
+    P = fb.pseudoinverse(fb.build_laplacian(fiber))
+    P.solve_integers = fb.pseudoinverse(fb.build_laplacian(other)).solve_integers
     D = fb.unit_incidence(fiber, fiber.ids[0])
     with pytest.raises(AssertionError, match="solve_vertical postcondition"):
-        fb.solve_vertical(fiber, P_other, D)
+        fb.solve_vertical(fiber, P, D)
+
+
+def test_every_factor_entry_point_rejects_a_factor_of_another_fiber():
+    # VII(1,2,3) and VI(1,3,2) both have five components: with the other
+    # factor beta_closed returned 61/36 instead of 118/121; a factor of
+    # another size ended in a bare IndexError
+    fiber = fb.genus2_type("VII", (1, 2, 3))
+    own = fb.pseudoinverse(fb.build_laplacian(fiber))
+    assert fb.beta_closed(fiber, own).beta == rat(118, 121)
+    D = fb.unit_incidence(fiber, "u")
+    Z = HorizontalIncidence("Z", 0, {"u": 1, "w": -1})
+    calls = [
+        lambda P: fb.solve_vertical(fiber, P, D),
+        lambda P: fb.phi(fiber, P, Z),
+        lambda P: fb.neron_pairing(fiber, P, D, D, 0),
+        lambda P: fb.gamma_u(fiber, P, D),
+        lambda P: fb.gamma_by_definition(fiber, P, D),
+        lambda P: fb.u_dot_component_closed(fiber, P, D, 0),
+        lambda P: fb.beta_direct(fiber, P, D),
+        lambda P: fb.beta_closed(fiber, P),
+        lambda P: fb.u_dot_k_closed(fiber, P),
+        lambda P: fb.semipositivity_certificate(fiber, P, D),
+    ]
+    for other in (fb.genus2_type("VI", (1, 3, 2)), fb.genus2_type("VII", (2, 2, 3))):
+        P = fb.pseudoinverse(fb.build_laplacian(other))
+        for call in calls:
+            with pytest.raises(FiberMismatch):
+                call(P)
+    # an equal fiber built again is the same fiber
+    twin = fb.genus2_type("VII", (1, 2, 3))
+    assert twin is not fiber
+    for call in calls:
+        call(fb.pseudoinverse(fb.build_laplacian(twin)))
 
 
 def test_solve_vertical_degree_mismatch(banana111):

@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import fiberbeta as fb
-from fiberbeta import MalformedInput, RatMatrix, SingularBeyondKernel, cli, linalg, rat
+from fiberbeta import MalformedInput, RatMatrix, SingularBeyondKernel, WorkLimitExceeded, cli, linalg, rat
 
 from oracles import (
     assert_penrose_sparse,
@@ -497,3 +497,18 @@ def test_pivot_heap_matches_min_rule_on_random_matrices(monkeypatch):
                     a[i][j] = a[j][i] = rng.randint(-3, 3)
         M = RatMatrix(a)
         assert_same_elimination([dict(row) for row in M.sparse_rows], monkeypatch, M)
+
+
+@pytest.mark.parametrize("n", [2, 5, 13])
+def test_elimination_work_of_a_clique_is_a_sum_of_squares(monkeypatch, n):
+    # every pivot of a clique meets all rows left, and the Schur complement
+    # stays a clique: the k-th last pivot makes k^2 updates.  The grounded
+    # factor eliminates n - 1 rows, psd_certificate all n
+    M = RatMatrix([[n - 1 if i == j else -1 for j in range(n)] for i in range(n)])
+    for run, rows in ((fb.pseudoinverse, n - 1), (fb.psd_certificate, n)):
+        work = sum(k * k for k in range(rows))
+        monkeypatch.setattr(linalg, "MAX_ELIMINATION_WORK", work)
+        run(M)
+        monkeypatch.setattr(linalg, "MAX_ELIMINATION_WORK", work - 1)
+        with pytest.raises(WorkLimitExceeded, match=f"more than {work - 1} entry updates"):
+            run(M)

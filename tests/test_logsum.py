@@ -53,8 +53,9 @@ def test_global_beta_examples(single_component):
     model = fb.x1n_model(35)
     beta = fb.global_beta(model)
     assert beta.terms == ((5, rat(18)), (7, rat(16)))
-    unweighted = fb.global_beta(model, weighted=False)
-    assert unweighted.terms == ((5, rat(3)), (7, rat(4)))
+    # the local betas, before the weights phi(N/p) = 6 and 4
+    local = [fb.beta_closed(pl.fiber, fb.pseudoinverse(fb.build_laplacian(pl.fiber))).beta for pl in model.places]
+    assert local == [3, 4]
 
 
 def test_global_beta_additive_over_places():
