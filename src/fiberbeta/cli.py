@@ -236,9 +236,12 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+#: Built once at import; each `main` call only parses with it.
+PARSER = build_parser()
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = PARSER.parse_args(argv)
     try:
         return args.func(args)
     except FiberBetaError as exc:

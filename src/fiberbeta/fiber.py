@@ -8,6 +8,12 @@ this data, so validation is deliberately paranoid: self-intersections are
 stored rather than derived, and the fiber relation is recomputed instead
 of trusted, which catches transcription errors in hand-entered fibers.
 
+The constructor keeps one store of the intersection matrix, built once:
+`index` (id -> component index) and `pairing_rows`, row i being
+{j: (Gamma_i . Gamma_j)} over i and its neighbours, keys in index order.
+The adjacency, the pairings, the fiber relation and `linalg.build_laplacian`
+all read these rows.
+
 Mathematically inconsistent fibers yield failed checks in the
 ValidationReport; only structurally broken input (unknown ids, asymmetric
 maps) raises MalformedInput.
@@ -77,7 +83,8 @@ class SpecialFiber:
     iterable of (id_a, id_b, value) triples; it is normalized to a sorted
     tuple of triples with ids in component order and zero entries dropped.
     Off-diagonal intersection numbers must be nonnegative rationals
-    (non-integral values are allowed).
+    (non-integral values are allowed).  `index` and `pairing_rows` (see the
+    module docstring) are plain attributes, not fields.
     """
 
     name: str
@@ -117,18 +124,18 @@ class SpecialFiber:
             if key in seen and seen[key] != value:
                 raise MalformedInput(f"asymmetric intersection map at ({a!r}, {b!r})")
             seen[key] = value
-        normalized = tuple(
-            (self.components[i].id, self.components[j].id, seen[(i, j)])
-            for (i, j) in sorted(seen)
-            if seen[(i, j)] != 0
-        )
-        object.__setattr__(self, "intersections", normalized)
+        rows = [{i: comp.self_intersection} for i, comp in enumerate(self.components)]
+        normalized = []
+        for (i, j), value in sorted(seen.items()):
+            if value:
+                rows[i][j] = rows[j][i] = value
+                normalized.append((self.components[i].id, self.components[j].id, value))
+        object.__setattr__(self, "intersections", tuple(normalized))
+        # plain attributes, not fields, so eq, hash and repr see only the above
+        object.__setattr__(self, "index", index)
+        object.__setattr__(self, "pairing_rows", tuple(dict(sorted(row.items())) for row in rows))
 
     # -- indexed access -----------------------------------------------------
-
-    @cached_property
-    def index(self) -> Mapping[str, int]:
-        return {c.id: i for i, c in enumerate(self.components)}
 
     @cached_property
     def ids(self) -> tuple:
@@ -138,20 +145,9 @@ class SpecialFiber:
     def r(self) -> int:
         return len(self.components)
 
-    @cached_property
-    def _pair_values(self) -> Mapping[tuple, Rat]:
-        out = {}
-        for a, b, v in self.intersections:
-            i, j = self.index[a], self.index[b]
-            out[(i, j)] = v
-            out[(j, i)] = v
-        return out
-
     def pair_value(self, i: int, j: int) -> Rat:
         """(Gamma_i . Gamma_j) by component index; diagonal included."""
-        if i == j:
-            return self.components[i].self_intersection
-        return self._pair_values.get((i, j), ZERO)
+        return self.pairing_rows[i].get(j, ZERO)
 
     def intersection(self, id_a: str, id_b: str) -> Rat:
         return self.pair_value(self.index[id_a], self.index[id_b])
@@ -159,20 +155,13 @@ class SpecialFiber:
     @cached_property
     def neighbors(self) -> tuple:
         """Adjacency lists of the dual graph (indices with positive pairing)."""
-        adj = [[] for _ in self.components]
-        for a, b, _ in self.intersections:
-            i, j = self.index[a], self.index[b]
-            adj[i].append(j)
-            adj[j].append(i)
-        return tuple(tuple(sorted(x)) for x in adj)
+        return tuple(tuple(j for j in row if j != i) for i, row in enumerate(self.pairing_rows))
 
     @cached_property
     def integer_pairing_rows(self) -> tuple:
         """(rows, s): row i lists (j, s (Gamma_i . Gamma_j)) over i and its
-        neighbors, diagonal first, all integers over one common scale s."""
-        return _integer_rows(
-            [[(j, self.pair_value(i, j)) for j in (i, *self.neighbors[i])] for i in range(self.r)]
-        )
+        neighbors, all integers over one common scale s."""
+        return _integer_rows([row.items() for row in self.pairing_rows])
 
     @cached_property
     def integer_degree_weights(self) -> tuple:
@@ -206,10 +195,8 @@ class SpecialFiber:
 
     def fiber_relation_defect(self, i: int) -> Rat:
         """b_i Gamma_i^2 + sum_j b_j (Gamma_i.Gamma_j); zero for honest fibers."""
-        total = self.components[i].multiplicity * self.components[i].self_intersection
-        for j in self.neighbors[i]:
-            total += self.components[j].multiplicity * self.pair_value(i, j)
-        return total
+        b = self.multiplicities
+        return sum((b[j] * v for j, v in self.pairing_rows[i].items()), ZERO)
 
 
 @dataclass(frozen=True)
@@ -283,6 +270,11 @@ class ValidationReport:
         return tuple(c for c in self.checks if not c.passed)
 
 
+def _check(name: str, passed: bool, witness: str) -> Check:
+    """A named check; its witness text is kept only when it failed."""
+    return Check(name, passed, "" if passed else witness)
+
+
 def validate(fiber: SpecialFiber) -> ValidationReport:
     """Recompute the standing hypotheses on a fiber and report the results.
 
@@ -295,52 +287,22 @@ def validate(fiber: SpecialFiber) -> ValidationReport:
     checks = []
     for i, comp in enumerate(fiber.components):
         defect = fiber.fiber_relation_defect(i)
-        checks.append(
-            Check(
-                name=f"fiber-relation[{comp.id}]",
-                passed=defect == 0,
-                witness="" if defect == 0 else f"(X_s . {comp.id}) = {format_rat(defect)} != 0",
-            )
-        )
-    total = sum(
-        (rat(c.multiplicity) * c.canonical_degree for c in fiber.components), ZERO
-    )
+        witness = f"(X_s . {comp.id}) = {format_rat(defect)} != 0"
+        checks.append(_check(f"fiber-relation[{comp.id}]", defect == 0, witness))
+    total = sum((b * a for b, a in zip(fiber.multiplicities, fiber.canonical_degrees)), ZERO)
     expected = rat(2 * fiber.genus - 2)
-    checks.append(
-        Check(
-            name="genus-consistency",
-            passed=total == expected,
-            witness=""
-            if total == expected
-            else f"sum b_i a_i = {format_rat(total)}, 2g-2 = {format_rat(expected)}",
-        )
-    )
-    seen = {0}
-    frontier = [0]
-    while frontier:
-        nxt = []
-        for i in frontier:
-            for j in fiber.neighbors[i]:
-                if j not in seen:
-                    seen.add(j)
-                    nxt.append(j)
-        frontier = nxt
-    connected = len(seen) == fiber.r
+    witness = f"sum b_i a_i = {format_rat(total)}, 2g-2 = {format_rat(expected)}"
+    checks.append(_check("genus-consistency", total == expected, witness))
+    seen, stack = {0}, [0]
+    while stack:
+        for j in fiber.neighbors[stack.pop()]:
+            if j not in seen:
+                seen.add(j)
+                stack.append(j)
     missing = [fiber.ids[i] for i in range(fiber.r) if i not in seen]
-    checks.append(
-        Check(
-            name="connectivity",
-            passed=connected,
-            witness="" if connected else f"unreachable from {fiber.ids[0]!r}: {missing}",
-        )
-    )
-    checks.append(
-        Check(
-            name="genus-above-one",
-            passed=fiber.genus > 1,
-            witness="" if fiber.genus > 1 else f"g = {fiber.genus}",
-        )
-    )
+    witness = f"unreachable from {fiber.ids[0]!r}: {missing}"
+    checks.append(_check("connectivity", not missing, witness))
+    checks.append(_check("genus-above-one", fiber.genus > 1, f"g = {fiber.genus}"))
     minimal = not any(
         c.genus == 0 and c.multiplicity == 1 and c.self_intersection == -1
         for c in fiber.components

@@ -21,7 +21,10 @@ carries an exact certificate that costs about as much as the work it checks:
 - the factor: L D L^t equals the grounded M entry for entry;
 - the selected inverse: the Takahashi equations hold on its pattern;
 - every solve: the residual M x = v - mean(v) 1 is zero and sum(x) = 0;
-- the edge entries: Foster's identity sum_edges -m_ij r(i, j) = r - 1.
+- the edge entries: (M+ M)_ii = 1 - 1/r for every i, a sum over row i of
+  M that reads only n_ii and the entries on i's edges.  Summed over i this
+  is Foster's identity sum_edges -m_ij r(i, j) = r - 1, which one wrong
+  entry can offset by another.
 
 The factor keeps the M it was built from as `P.M`.  The closed forms in
 `invariants` and `divisors` read its stored rows, M diag by `RatMatrix.matvec`,
@@ -132,11 +135,10 @@ def _integer_matvec(rows, x) -> list:
 def build_laplacian(fiber: SpecialFiber) -> RatMatrix:
     """M with m_ij = -(b_i Gamma_i . b_j Gamma_j); expects a validated fiber."""
     b = fiber.multiplicities
-    rows = []
-    for i, c in enumerate(fiber.components):
-        row = [(i, -rat(b[i] * b[i]) * c.self_intersection)]
-        row += ((j, -rat(b[i] * b[j]) * fiber.pair_value(i, j)) for j in fiber.neighbors[i])
-        rows.append({j: m for j, m in sorted(row) if m})
+    rows = [
+        {j: m for j, v in row.items() if (m := -rat(b[i] * b[j]) * v)}
+        for i, row in enumerate(fiber.pairing_rows)
+    ]
     M = RatMatrix.from_sparse_rows(rows, fiber.r)
     if any(s != 0 for s in M.row_sums()):
         raise MalformedInput(
@@ -445,14 +447,16 @@ class PseudoinverseResult:
     def _edges(self) -> dict:
         M = self.M
         edges = {(i, j): self._n(i, j) for i, row in enumerate(M.sparse_rows) for j in row if i < j}
-        # Foster's identity: sum over edges of -m_ij r(i, j) equals rank M
+        # Foster's identity row by row: (M+ M)_ii = sum_j m_ij n_ij = 1 - 1/r
         diag = self.diag()
-        foster = sum(
-            (-M.entry(i, j) * (diag[i] + diag[j] - 2 * nij) for (i, j), nij in edges.items()),
-            ZERO,
-        )
-        if foster != self.rank:
-            raise AssertionError(f"Foster certificate: sum -m_ij r_ij = {foster}, not {self.rank}")
+        want = ONE - rat(1, self.r)
+        for i, row in enumerate(M.sparse_rows):
+            s = sum(
+                (m * (diag[i] if j == i else edges[min(i, j), max(i, j)]) for j, m in row.items()),
+                ZERO,
+            )
+            if s != want:
+                raise AssertionError(f"Foster certificate: (M+ M)[{i},{i}] = {s}, not {want}")
         return edges
 
     def edge_entries(self) -> dict:

@@ -22,13 +22,17 @@ from .errors import MalformedInput, NotReduced
 from .fiber import HorizontalIncidence, SpecialFiber, validate
 from .invariants import beta_closed, beta_direct
 from .linalg import build_laplacian, pseudoinverse
-from .rationals import Rat, ZERO, format_rat, rat
+from .rationals import Rat, ZERO, _int_text, format_rat, rat
 
 
 #: Miller-Rabin with the first 13 primes as bases decides primality
 #: exactly below this bound (Sorenson-Webster 2017).
 PRIME_BOUND = 3317044064679887385961981
 _BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+#: Most decimal places `evaluate` renders, an input limit like PRIME_BOUND.
+#: Rendering 188/125 log 5 took 0.05 s at 4300 places, 0.18 s at 10 000 and
+#: 0.71 s at 20 000 (one Intel Xeon core); the cost grows faster than linearly.
+MAX_DIGITS = 10**4
 
 
 def is_prime(n: int) -> bool:
@@ -117,16 +121,19 @@ def rounded_decimal(value, digits: int) -> str:
             candidate = int(mpmath.nint(value() * mpmath.power(10, digits)))
         if candidate == rounded:
             sign = "-" if candidate < 0 else ""
-            body = str(abs(candidate)).rjust(digits + 1, "0")
+            body = _int_text(abs(candidate)).rjust(digits + 1, "0")
             return f"{sign}{body[:-digits]}.{body[-digits:]}"
         rounded = candidate
         dps += 25
 
 
 def evaluate(logsum: FormalLogSum, digits: int) -> str:
-    """Decimal rendering of the sum with `digits` correctly rounded places."""
+    """Decimal rendering of the sum with `digits` correctly rounded places,
+    1 <= digits <= MAX_DIGITS."""
     if not (isinstance(digits, int) and digits >= 1):
         raise MalformedInput(f"digits must be an integer >= 1, got {digits!r}")
+    if digits > MAX_DIGITS:
+        raise MalformedInput(f"digits past {MAX_DIGITS} are not rendered, got {digits}")
     if logsum.is_zero():
         return "0"
     return rounded_decimal(logsum.to_mpf, digits)

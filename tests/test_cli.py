@@ -176,6 +176,18 @@ def test_evaluate_cli(tmp_path, capsys, monkeypatch):
     assert code == 1
 
 
+def test_evaluate_digits_up_to_the_limit(capsys, monkeypatch):
+    limit = fb.logsum.MAX_DIGITS
+    monkeypatch.setattr("sys.stdin", io.StringIO('{"5": "188/125"}'))
+    code, out, err = run(capsys, "evaluate", "--digits", str(limit))
+    assert code == 0 and err == ""
+    assert out.startswith("2.4205946") and len(out) == limit + 3  # "2." and "\n"
+    monkeypatch.setattr("sys.stdin", io.StringIO('{"5": "188/125"}'))
+    code, out, err = run(capsys, "evaluate", "--digits", str(limit + 1))
+    assert code == 1 and out == ""
+    assert err == f"error: digits past {limit} are not rendered, got {limit + 1}\n"
+
+
 def test_version_names_the_rational_backend(capsys):
     with pytest.raises(SystemExit) as exit_info:
         main(["--version"])
@@ -397,3 +409,40 @@ def test_elimination_past_the_work_limit_exits_one(tmp_path, capsys, monkeypatch
         assert code == 1 and out == ""
         assert err.startswith("error: eliminating M needs more than 100 entry updates")
         assert err.count("\n") == 1
+
+
+# SHA-256 of `validate` stdout on VII(2,3,2) (six components, seven
+# intersection entries) and on copies of its document broken one way each
+VALIDATE_EDITS = {
+    "ok": lambda doc: None,
+    "genus-mismatch": lambda doc: doc.update(genus=3),
+    "wrong-self-intersection": lambda doc: doc["components"][0].update(self_intersection=-4),
+    "no-intersections": lambda doc: doc.update(intersections=[]),
+    "zeroed-intersection": lambda doc: doc["intersections"][6].update(value=0),
+    "isolated-component": lambda doc: doc.update(intersections=[
+        e for e in doc["intersections"] if "n4" not in (e["a"], e["b"])
+    ]),
+    "changed-multiplicity": lambda doc: doc["components"][5].update(multiplicity=2),
+    "genus-one": lambda doc: doc.update(genus=1),
+}
+VALIDATE_SHA256 = {
+    "ok": "4a76539d94c62e60f296cad05336dd49f02d5e7aca120ae9b260a637aaa2899b",
+    "genus-mismatch": "c658f520e91358307a046a61f05e5012d2689979effc68ff09210bd18a90eebb",
+    "wrong-self-intersection": "41ee1df2a094974c202dd9861e5ec97accccf1649fc19f8e9847c4adbcc87572",
+    "no-intersections": "2dcd445e7548fc920c3f791e5e9b4f5f7578340f8972639f6b7b80258e1025a7",
+    "isolated-component": "69520ba44823ec3e06e689fe02d2117ae04fd3cb357f8b129c4836fdd9d9701c",
+    "zeroed-intersection": "ae14b657fa118a86f711d44e50782764c45d7e585cd0dc35b848482e832dcea5",
+    "changed-multiplicity": "ee8c32380178d0307395db8892272f1f27967cad445ae6fe4d306ddb32750fcb",
+    "genus-one": "435498c780872f605688a2a7bb00dc0ac35171b055934d12b2b95963d0278a2a",
+}
+
+
+@pytest.mark.parametrize("case", sorted(VALIDATE_SHA256))
+def test_validate_bytes_are_pinned(tmp_path, capsys, case):
+    doc = json.loads(fb.serialize_fiber(fb.genus2_type("VII", (2, 3, 2))))
+    VALIDATE_EDITS[case](doc)
+    path = tmp_path / "fiber.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    code, out, err = run(capsys, "validate", str(path))
+    assert code == 0 and err == ""
+    assert hashlib.sha256(out.encode("utf-8")).hexdigest() == VALIDATE_SHA256[case]

@@ -401,6 +401,31 @@ def test_factored_certificates_reject_tampering(fermat72, monkeypatch):
             P.solve([rat(1)] + [rat(0)] * (M.rows - 1))
 
 
+@pytest.mark.parametrize("kind, params", [("fermat", (7, 2)), ("VII", (2, 3, 4))])
+def test_foster_rows_catch_a_tamper_that_keeps_fosters_sum(kind, params, monkeypatch):
+    # n_ij moves by delta and n_kl by -m_ij delta / m_kl: the edge terms
+    # -m r of Foster's sum move by -2 m_ij delta and +2 m_ij delta, so the
+    # sum still reads r - 1, while rows i and j of M+ M do not
+    fiber = fb.fermat_fiber(*params) if kind == "fermat" else fb.genus2_type(kind, params)
+    M = fb.build_laplacian(fiber)
+    edges = sorted(fb.pseudoinverse(M).edge_entries())
+    (i, j), (k, l) = edges[0], edges[-1]
+    delta = rat(1, 7)
+    shift = {(i, j): delta, (k, l): -M.entry(i, j) * delta / M.entry(k, l)}
+    n = linalg.PseudoinverseResult._n
+    monkeypatch.setattr(
+        linalg.PseudoinverseResult, "_n", lambda P, a, b: n(P, a, b) + shift.get((a, b), 0)
+    )
+    P = fb.pseudoinverse(M)
+    diag = P.diag()
+    foster = sum(
+        -M.entry(a, b) * (diag[a] + diag[b] - 2 * P._n(a, b)) for a, b in edges
+    )
+    assert foster == M.rows - 1
+    with pytest.raises(AssertionError, match="Foster certificate"):
+        P.edge_entries()
+
+
 @pytest.mark.parametrize("kind, params", [("fermat", (11, 3)), ("VII", (3, 4, 5))])
 def test_production_callers_never_build_the_dense_mplus(kind, params, tmp_path, monkeypatch):
     # a later change must not bring the O(r^2) dense M+ back onto these

@@ -1,3 +1,4 @@
+import mpmath
 import pytest
 
 import fiberbeta as fb
@@ -32,6 +33,17 @@ def test_evaluate_examples():
     assert fb.evaluate(FormalLogSum({2: 10}), 1) == "6.9"
     with pytest.raises(MalformedInput):
         fb.evaluate(FormalLogSum({5: 1}), 0)
+
+
+def test_evaluate_past_the_int_to_string_limit_matches_mpmath():
+    # Python refuses str() of an int past 4300 digits; 4300 places need 4301
+    s = FormalLogSum({5: rat(188, 125), 7: rat(-1, 3)})
+    with mpmath.workdps(4400):
+        value = mpmath.mpf(188) / 125 * mpmath.log(5) - mpmath.log(7) / 3
+        want = mpmath.nstr(value, 4301, strip_zeros=False)
+    assert fb.evaluate(s, 4300) == want
+    with pytest.raises(MalformedInput, match=f"digits past {fb.logsum.MAX_DIGITS}"):
+        fb.evaluate(s, fb.logsum.MAX_DIGITS + 1)
 
 
 def test_global_beta_examples(single_component):

@@ -1,4 +1,8 @@
+import os
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -71,3 +75,34 @@ def test_integer_vector_round_trips(xs, d):
     assert scale == d
     assert all(int(x) == x for x in X)  # Python ints, or mpz under gmpy2
     assert [rat(x, scale) for x in X] == xs
+
+
+TESTS = Path(__file__).resolve().parent
+# the byte pins of the CLI: every compute op, catalog emit, refused
+# parameters and validate
+CLI_PINS = (
+    "test_resistance_table_bytes_are_pinned",
+    "test_genus2_emit_bytes_are_pinned",
+    "test_catalog_emit_bytes_are_pinned",
+    "test_refused_catalog_parameters_print_one_pinned_line",
+    "test_validate_bytes_are_pinned",
+)
+
+
+def test_gmpy2_backend_passes_the_audit_and_cli_pins_on_a_stand_in():
+    # tests/standin/gmpy2.py has mpz and mpq types that, as in gmpy2, are
+    # not int or Fraction subclasses, so an isinstance slip fails here
+    path = [str(TESTS / "standin"), str(TESTS.parent / "src"), os.environ.get("PYTHONPATH", "")]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(p for p in path if p))
+    check = (
+        "from fiberbeta import rationals as r; "
+        "assert r.BACKEND == 'gmpy2', r.BACKEND; "
+        "assert type(r.rat(3).numerator) is not int"
+    )
+    subprocess.run([sys.executable, "-c", check], env=env, check=True, timeout=60)
+    tests = ["tests/test_audit.py"] + [f"tests/test_cli.py::{name}" for name in CLI_PINS]
+    run = subprocess.run(
+        [sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider", *tests],
+        cwd=TESTS.parent, env=env, capture_output=True, text=True, timeout=600,
+    )
+    assert run.returncode == 0, run.stdout[-3000:] + run.stderr[-3000:]
