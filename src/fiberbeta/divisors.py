@@ -120,8 +120,7 @@ def solve_vertical(
 
     Raises DegreeMismatch when the incidence entries do not sum to the
     declared degree; the defining system is unsolvable in that case.
-    The defining property is re-checked exactly before returning, from
-    the fiber's own data and over integers.
+    The defining equations are re-checked before returning (`_defining_defect`).
     """
     _check_factor(fiber, P)
     V, dv = _integer_vector(_incidence_vector(fiber, D))
@@ -132,14 +131,23 @@ def solve_vertical(
     Y, dy = P.solve_integers(W, dd * s * dv)
     b = fiber.multiplicities
     divisor = VerticalDivisor(fiber, tuple(rat(-b[i] * Y[i], dy) for i in range(fiber.r)))
-    # S / ds + V / (dv b) = (dn / dd) A / da, times ds dv dd da b
-    S, ds = _integer_pairings(fiber, divisor.coefficients)
-    A, da = _integer_vector(fiber.normalized_degrees)
-    ks, kv, ka = dv * dd * da, ds * dd * da, ds * dv * dn
-    for i in range(fiber.r):
-        if b[i] * (ks * S[i] - ka * A[i]) + kv * V[i] != 0:
-            raise AssertionError(f"solve_vertical postcondition failed at {fiber.ids[i]}")
+    if (i := _defining_defect(fiber, D, divisor.coefficients)) is not None:
+        raise AssertionError(f"solve_vertical postcondition failed at {fiber.ids[i]}")
     return divisor
+
+
+def _defining_defect(fiber: SpecialFiber, D: HorizontalIncidence, y):
+    """The first i with (D + V . Gamma_i) != deg(D) a'_i for V = sum y_j Gamma_j,
+    or None: V_D's defining equations, over integers on the fiber's data."""
+    V, dv = _integer_vector(D.vector(fiber))
+    S, ds = _integer_pairings(fiber, y)
+    A, da = _integer_vector(fiber.normalized_degrees)
+    dn, dd = D.degree.numerator, D.degree.denominator
+    b = fiber.multiplicities
+    # S / ds + V / (dv b) = (dn / dd) A / da, times ds dv dd da b
+    ks, kv, ka = dv * dd * da, ds * dd * da, ds * dv * dn
+    bad = (i for i in range(fiber.r) if b[i] * (ks * S[i] - ka * A[i]) + kv * V[i])
+    return next(bad, None)
 
 
 def phi(fiber: SpecialFiber, P: PseudoinverseResult, Z: HorizontalIncidence) -> VerticalDivisor:

@@ -19,7 +19,11 @@ of M+, one solve, as do the rows streamed by `resistance_rows`.  Each piece
 carries an exact certificate that costs about as much as the work it checks:
 
 - the factor: L D L^t equals the grounded M entry for entry;
-- the selected inverse: the Takahashi equations hold on its pattern;
+- the selected inverse: (G M)_ij = [i = j], read from M, at each stored
+  G_ij whose column j of M lies in row i's pattern (every diagonal entry
+  does), which pins each row where every stored entry qualifies; every
+  other row satisfies the Takahashi equations of the certified factor and
+  equals its mirror, and together these fix G on its whole pattern;
 - every solve: the residual M x = v - mean(v) 1 is zero and sum(x) = 0;
 - the edge entries: (M+ M)_ii = 1 - 1/r for every i, a sum over row i of
   M that reads only n_ii and the entries on i's edges.  Summed over i this
@@ -36,12 +40,12 @@ is re-verified against the Penrose data exactly: symmetry, zero row sums,
 sum_j n_ij m_jk = delta_ik - 1/r, and the trace identity.  Together with
 zero row sums of M these force MM+M = M and M+MM+ = M+.
 
-The solve and Penrose certificates, like the defining-property check of
-`divisors.solve_vertical`, run over integers: each vector is put over one
-common denominator (`rationals._integer_vector`, the lcm of its
-denominators), M over one scale once (`RatMatrix.integer_rows`), and each
-identity is multiplied through by these scales, so a check is plain
-integer multiply-adds (`_integer_matvec`) with no gcd per step.
+The solve, selected-inverse and Penrose certificates, like the check of
+V_D's defining equations in `divisors`, run over integers: each vector
+is put over one common denominator (`rationals._integer_vector`, the lcm
+of its denominators), M over one scale once (`RatMatrix.integer_rows`),
+and each identity is multiplied through by these scales, so a check is
+plain integer multiply-adds (`_integer_matvec`) with no gcd per step.
 
 `psd_certificate` eliminates the whole matrix: the verdict is the pivot
 signs, and a leftover nonzero off-diagonal entry is an indefinite 2x2 minor.
@@ -299,13 +303,40 @@ def _selected_inverse(ops, pivots) -> dict:
     return g
 
 
-def _verify_selected(ops, pivots, g) -> None:
-    """The Takahashi equations (G L)_ji = [j = i]/d_i on every stored G_ji.
+def _verify_selected(M: RatMatrix, g) -> set:
+    """(G M)_ij = [i = j] for the grounded G and M at each stored G_ij whose
+    column j of M meets only rows k with G_ik stored.  Over integers: with
+    row i of G = H / h and M = A / a, sum_k H_ik A_kj = [i = j] h a.
 
-    G L = L^-t D^-1 is upper triangular, so for j not before i in pivot
-    order its (j, i) entry is 1/d_i on the diagonal and zero below it.
-    Each entry is checked once, with its mirror G_ij.
+    A row that qualifies at every stored j is exact: its error e has
+    e M_P = 0 for M_P, M on the row's pattern, a principal minor of the
+    grounded Laplacian and so definite.  Returns the other rows.
     """
+    rows, a = M.integer_rows
+    last = M.rows - 1
+    partial = set()
+    for i, gi in g.items():
+        H, h = _integer_vector(list(gi.values()))
+        hi = dict(zip(gi, H))
+        for j in gi:
+            try:
+                s = sum([hi[k] * v for k, v in rows[j] if k != last])
+            except KeyError:
+                partial.add(i)
+                continue  # column j of M leaves row i's pattern
+            if s != (h * a if i == j else 0):
+                raise AssertionError(
+                    f"selected inverse certificate: (G M)[{i},{j}] = {rat(s, h * a)}"
+                )
+    return partial
+
+
+def _verify_takahashi(ops, pivots, g, partial) -> None:
+    """G_ij = G_ji, and on the rows `_verify_selected` could not pin (each
+    row j in `partial`) the Takahashi equations (G L)_ji = [j = i]/d_i at
+    every stored G_ji with i not after j in pivot order.  With the certified
+    factor and the exact rows these fix G on its whole pattern: taken in
+    reverse pivot order, each equation reads only entries already fixed."""
     done = set()
     for (i, factors), (_, d) in zip(ops, pivots):
         done.add(i)
@@ -313,8 +344,12 @@ def _verify_selected(ops, pivots, g) -> None:
             if j in done and j != i:
                 continue  # the mirror of an entry checked at pivot j
             gj = g[j]
+            if gj[i] != gji:
+                raise AssertionError(f"selected inverse certificate: G[{j},{i}] != G[{i},{j}]")
+            if j not in partial:
+                continue
             s = gji + sum((gj[k] * f for k, f in factors.items()), ZERO)
-            if s != (ONE / d if j == i else ZERO) or gj[i] != gji:
+            if s != (ONE / d if j == i else ZERO):
                 raise AssertionError(
                     f"selected inverse certificate: (G L)[{j},{i}] = {s}"
                 )
@@ -410,7 +445,7 @@ class PseudoinverseResult:
     @cached_property
     def _selected(self) -> dict:
         g = _selected_inverse(self._ops, self._pivots)
-        _verify_selected(self._ops, self._pivots, g)
+        _verify_takahashi(self._ops, self._pivots, g, _verify_selected(self.M, g))
         return g
 
     @cached_property

@@ -164,18 +164,27 @@ def test_fermat_examples(fermat50, fermat72):
 
 
 def test_fermat_self_check_is_falsifiable():
+    # the full texts pin the step and the component each tamper fails at
+    def refused(fiber, p, r):
+        with pytest.raises(SelfCheckFailed) as exc:
+            _verify_fermat(fiber, p, r)
+        return str(exc.value)
+
+    def rebuilt(fiber, intersections):
+        return fb.SpecialFiber(
+            name=fiber.name,
+            components=fiber.components,
+            intersections=intersections,
+            genus=fiber.genus,
+        )
+
     fiber = _build_fermat(7, 2)
     # tamper with one intersection: an alpha1 pendant now also meets alpha2
     tampered = list(fiber.intersections)
     tampered.append(("alpha2", "alpha1.1", rat(1)))
-    broken = fb.SpecialFiber(
-        name=fiber.name,
-        components=fiber.components,
-        intersections=tampered,
-        genus=fiber.genus,
+    assert refused(rebuilt(fiber, tampered), 7, 2) == (
+        "fermat(7,2): validation failed: fiber-relation[alpha1.1]; fiber-relation[alpha2]"
     )
-    with pytest.raises(SelfCheckFailed):
-        _verify_fermat(broken, 7, 2)
     # a rewiring that keeps every component's fiber relation intact but
     # moves an intersection must still be caught by the divisor check:
     # drop (x, y) and let y meet alpha1 twice instead (and x a pendant)
@@ -185,34 +194,38 @@ def test_fermat_self_check_is_falsifiable():
     pairs[("y", "alpha1")] = rat(3, 2)
     pairs[("x", "alpha1.1")] = rat(1)
     pairs[("alpha1", "alpha1.1")] = rat(1, 2)
-    rewired = fb.SpecialFiber(
-        name=fiber.name,
-        components=fiber.components,
-        intersections=pairs,
-        genus=fiber.genus,
-    )
-    with pytest.raises(SelfCheckFailed):
-        _verify_fermat(rewired, 7, 2)
+    assert refused(rebuilt(fiber, pairs), 7, 2) == "fermat(7,2): V_x != (1/7) L_x mod fiber"
+    # swap partners among the main components: drop (x, y) and (z, beta1)
+    # and double (x, z) and (y, beta1); every degree, and so the fiber
+    # relation, is unchanged
+    fiber = _build_fermat(11, 3)
+    drop = ({"x", "y"}, {"z", "beta1"})
+    pairs = {(a, b): v for a, b, v in fiber.intersections if {a, b} not in drop}
+    pairs[("x", "z")] = pairs[("y", "beta1")] = rat(2)
+    swapped = rebuilt(fiber, pairs)
+    assert fb.validate(swapped).ok
+    assert refused(swapped, 11, 3) == "fermat(11,3): V_x != (1/11) L_x mod fiber"
 
 
-def test_fermat_reference_divisors(fermat72):
-    # the solver reproduces the reference (1/p) L_i and alpha divisors
-    f, P = fermat72.fiber, fermat72.P
-    p = 7
-    vx = fb.solve_vertical(f, P, fb.unit_incidence(f, "x")).coefficients
-    shift = vx[f.index["x"]] - rat(1, p)
-    for i, cid in enumerate(f.ids):
-        expect = (rat(1, p) if cid == "x" else rat(0)) + shift * f.multiplicities[i]
-        assert vx[i] == expect
-    va = fb.solve_vertical(f, P, fb.unit_incidence(f, "alpha1")).coefficients
-    shift = va[f.index["y"]]  # reference divisor has no y component
-    for i, cid in enumerate(f.ids):
-        base = rat(0)
-        if cid == "alpha1":
-            base = rat(1, p)
-        elif cid.startswith("alpha1."):
-            base = rat(1, 2 * p)
-        assert va[i] == base + shift * f.multiplicities[i], cid
+def test_fermat_reference_divisors(battery):
+    # the solver reproduces, modulo the full fiber, the reference divisor
+    # of every main component: (1/p) L_i, plus (1/2p) on each pendant of
+    # an alpha
+    fermats = [prepared for prepared in battery if prepared.fiber.name.startswith("fermat(")]
+    assert len(fermats) == 13
+    for prepared in fermats:
+        f, P = prepared.fiber, prepared.P
+        p, r = map(int, f.name[len("fermat("):-1].split(","))
+        fam = fb.catalog.fermat_component_ids(p, r)
+        b = f.multiplicities
+        for cid in fam["x"] + fam["yz"] + fam["beta"] + fam["alpha"]:
+            got = fb.solve_vertical(f, P, fb.unit_incidence(f, cid)).coefficients
+            want = [rat(0)] * f.r
+            want[f.index[cid]] = rat(1, p)
+            for j in range(p if cid.startswith("alpha") else 0):
+                want[f.index[f"{cid}.{j + 1}"]] = rat(1, 2 * p)
+            shift = (got[0] - want[0]) / b[0]
+            assert all(got[i] == want[i] + shift * b[i] for i in range(f.r)), (f.name, cid)
 
 
 def test_valid_fermat_r():

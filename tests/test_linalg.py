@@ -2,6 +2,7 @@ import collections
 import contextlib
 import io
 import random
+import re
 
 import numpy as np
 import pytest
@@ -373,7 +374,7 @@ def test_factored_certificates_reject_tampering(fermat72, monkeypatch):
     def bump_selected(g):
         i = next(i for i in g if len(g[i]) > 1)
         j = next(j for j in g[i] if j != i)
-        g[i][j] += d  # mirror kept equal: only the Takahashi equations can tell
+        g[i][j] += d  # mirror kept equal: only a check on G's values can tell
         g[j][i] = g[i][j]
 
     def bump_diagonal(g):
@@ -386,8 +387,9 @@ def test_factored_certificates_reject_tampering(fermat72, monkeypatch):
             P = fb.pseudoinverse(M)
             with pytest.raises(AssertionError, match="selected inverse certificate"):
                 P.diag()
-            # with the Takahashi check gone, Foster's identity still fails
+            # with the selected-inverse check gone, Foster's identity still fails
             m.setattr(linalg, "_verify_selected", lambda *args: None)
+            m.setattr(linalg, "_verify_takahashi", lambda *args: None)
             with pytest.raises(AssertionError, match="Foster certificate"):
                 fb.pseudoinverse(M).edge_entries()
 
@@ -399,6 +401,81 @@ def test_factored_certificates_reject_tampering(fermat72, monkeypatch):
         P = fb.pseudoinverse(M)
         with pytest.raises(AssertionError, match="solve certificate"):
             P.solve([rat(1)] + [rat(0)] * (M.rows - 1))
+
+
+@pytest.mark.parametrize("kind, params", [("fermat", (7, 2)), ("VII", (2, 3, 4)), ("fermat", (13, 0))])
+def test_selected_inverse_certificate_catches_a_wrong_factor(kind, params):
+    # the selected inverse of a factor changed after its own certificate ran
+    # still satisfies the Takahashi equations of that factor; only G M = I,
+    # which reads M, can tell
+    fiber = fb.fermat_fiber(*params) if kind == "fermat" else fb.genus2_type(kind, params)
+    M = fb.build_laplacian(fiber)
+    ops, pivots = linalg._grounded_factor(M)
+    ops = [(i, dict(factors)) for i, factors in ops]
+    factors = next(factors for _, factors in ops if factors)
+    factors[next(iter(factors))] += rat(1, 11)
+    P = linalg.PseudoinverseResult(M, ops, pivots)
+    with pytest.raises(AssertionError, match="selected inverse certificate"):
+        P._selected
+
+
+# Moves of the stored G, in units of 1/7, that keep every Foster row
+# sum_j m_ij n_ij; each names the one kind of equation of the selected-
+# inverse check that tells.  `mirror` copies each move to G_ji; otherwise
+# both halves are listed.
+SELECTED_INVERSE_TAMPERS = [
+    # around a 4-cycle of the 13-clique, every row of which (G M) pins
+    (("fermat", (13, 0)), {("x", "y"): 1, ("y", "z"): -1, ("z", "beta1"): 1, ("beta1", "x"): -1}, True, "(G M)"),
+    # around a 4-cycle of alpha hubs: keeps every (G M) identity, every
+    # mirror and the Takahashi equations of the diagonal
+    (
+        ("fermat", (11, 4)),
+        {("alpha1", "alpha3"): 1, ("alpha3", "alpha2"): -1, ("alpha2", "alpha4"): 1, ("alpha4", "alpha1"): -1},
+        True,
+        "(G L)",
+    ),
+    # keeps every (G M) identity and moves n_uu and n_n2n2, the diagonal of M+
+    (("VII", (2, 3, 4)), {("u", "u"): 1, ("n2", "n2"): rat(3, 2), ("u", "n2"): 3}, True, "(G L)"),
+    # G_ij and G_ji apart: keeps every (G M) identity and Takahashi equation
+    (
+        ("fermat", (13, 5)),
+        {
+            ("alpha1", "alpha5"): 1, ("alpha2", "alpha5"): -1, ("alpha1", "alpha4"): -1, ("alpha4", "alpha3"): 3,
+            ("alpha4", "alpha1"): 4, ("alpha5", "alpha1"): -4, ("alpha5", "alpha2"): 7, ("alpha4", "alpha2"): -7,
+            ("alpha5", "alpha3"): -3, ("alpha2", "alpha4"): 1,
+        },
+        False,
+        "G[",
+    ),
+]
+
+
+@pytest.mark.parametrize("fiber, moves, mirror, caught_by", SELECTED_INVERSE_TAMPERS)
+def test_selected_inverse_certificate_catches_moves_the_foster_rows_keep(fiber, moves, mirror, caught_by, monkeypatch):
+    kind, params = fiber
+    fiber = fb.fermat_fiber(*params) if kind == "fermat" else fb.genus2_type(kind, params)
+    M = fb.build_laplacian(fiber)
+    P = fb.pseudoinverse(M)
+    clean = P.diag(), P.edge_entries()
+    selected = linalg._selected_inverse
+
+    def tampered(*args):
+        g = selected(*args)
+        for (a, b), c in moves.items():
+            i, j = fiber.index[a], fiber.index[b]
+            g[i][j] += c * rat(1, 7)
+            if mirror:
+                g[j][i] = g[i][j]
+        return g
+
+    monkeypatch.setattr(linalg, "_selected_inverse", tampered)
+    with pytest.raises(AssertionError, match="selected inverse certificate: " + re.escape(caught_by)):
+        fb.pseudoinverse(M).diag()
+    # with the selected-inverse check gone, the Foster rows hold and M+ moves
+    monkeypatch.setattr(linalg, "_verify_selected", lambda *args: None)
+    monkeypatch.setattr(linalg, "_verify_takahashi", lambda *args: None)
+    P = fb.pseudoinverse(M)
+    assert (P.diag(), P.edge_entries()) != clean
 
 
 @pytest.mark.parametrize("kind, params", [("fermat", (7, 2)), ("VII", (2, 3, 4))])
