@@ -16,6 +16,7 @@ evaluator.
 
 from __future__ import annotations
 
+import itertools
 import json
 from dataclasses import asdict, dataclass
 from functools import partial
@@ -119,11 +120,8 @@ _TABLE1_ASSERTED = {"I", "III", "V", "VII"}
 
 def _table1_rows() -> list:
     rows = []
-    grids = {0: [()], 1: [(a,) for a in range(1, 5)]}
-    grids[2] = [(a, b) for a in range(1, 5) for b in range(1, 5)]
-    grids[3] = [(a, b, c) for a in range(1, 5) for b in range(1, 5) for c in range(1, 5)]
     for kind in ("I", "II", "III", "IV", "V", "VI", "VII"):
-        for params in grids[GENUS2_ARITY[kind]]:
+        for params in itertools.product(range(1, 5), repeat=GENUS2_ARITY[kind]):
             ref = table1_reference(kind, params)
             fiber = genus2_type(kind, params)
             P = pseudoinverse(build_laplacian(fiber))
@@ -390,10 +388,7 @@ def _x1n_rows() -> list:
 
 def audit(suite: str) -> AuditReport:
     """Run one audit suite; failures are report rows, never exceptions."""
-    if suite == "table1":
-        return AuditReport(suite="table1", rows=tuple(_table1_rows()))
-    if suite == "fermat":
-        return AuditReport(suite="fermat", rows=tuple(_fermat_rows()))
-    if suite == "x1n":
-        return AuditReport(suite="x1n", rows=tuple(_x1n_rows()))
-    raise InvalidParams(f"unknown audit suite {suite!r}; choose from {SUITES}")
+    rows = {"table1": _table1_rows, "fermat": _fermat_rows, "x1n": _x1n_rows}.get(suite)
+    if rows is None:
+        raise InvalidParams(f"unknown audit suite {suite!r}; choose from {SUITES}")
+    return AuditReport(suite=suite, rows=tuple(rows()))

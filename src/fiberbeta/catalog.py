@@ -257,22 +257,11 @@ def _x1n_check_level(N: int) -> list:
     if N > MAX_LEVEL:
         raise InvalidN(f"level {N} is over the limit {MAX_LEVEL}")
     primes = prime_factors(N)
-    sf = 1
-    for p in primes:
-        sf *= p
-    if sf != N:
+    if math.prod(primes) != N:
         raise InvalidN(f"level {N} is not squarefree")
-    k = len(primes)
-    for mask in range(1, 2**k - 1):
-        q = 1
-        r = 1
-        for bit, p in enumerate(primes):
-            if mask >> bit & 1:
-                q *= p
-            else:
-                r *= p
-        if q >= 4 and r >= 4:
-            return primes
+    # N is squarefree, so each divisor d is coprime to N // d
+    if any(d >= 4 and N // d >= 4 for d in divisors_of(N)):
+        return primes
     raise InvalidN(f"level {N} admits no coprime factorization Q*R with Q, R >= 4")
 
 

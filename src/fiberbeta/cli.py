@@ -17,7 +17,6 @@ mirror their report as JSON via --json.
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 from pathlib import Path
 
@@ -25,24 +24,31 @@ from . import __version__
 from .audit import SUITES, audit
 from .catalog import GENERATORS, catalog_entry
 from .divisors import gamma_u, solve_vertical
-from .documents import parse_fiber, serialize_fiber
+from .documents import parse_fiber, parse_logsum, serialize_fiber
 from .errors import FiberBetaError, MalformedInput
 from .fiber import HorizontalIncidence, validate
 from .invariants import beta_closed, beta_direct, semipositivity_certificate
 from .linalg import build_laplacian, pseudoinverse, resistance_rows
-from .logsum import FormalLogSum, evaluate
-from .rationals import BACKEND, format_rat, parse_int, rat
+from .logsum import evaluate
+from .rationals import BACKEND, format_rat, rat
 
 COMPUTE_OPS = ("beta", "vdiv", "udiv", "resistance", "semipos")
 
 
 def _read_document(path: str):
     if path == "-":
-        return sys.stdin.read()
-    p = Path(path)
-    if not p.exists():
-        raise MalformedInput(f"no such file: {path}")
-    return p.read_bytes()
+        return getattr(sys.stdin, "buffer", sys.stdin).read()
+    try:
+        return Path(path).read_bytes()
+    except OSError as exc:
+        raise MalformedInput(f"cannot read {path}: {exc.strerror}") from None
+
+
+def _write(path: str, text: str) -> None:
+    try:
+        Path(path).write_text(text, encoding="utf-8")
+    except OSError as exc:
+        raise MalformedInput(f"cannot write {path}: {exc.strerror}") from None
 
 
 def _pick_divisor(horizontals: dict, requested, needed_for: str) -> HorizontalIncidence:
@@ -158,7 +164,7 @@ def cmd_catalog(args) -> int:
         ]
     text = serialize_fiber(fiber, horizontals)
     if args.out:
-        Path(args.out).write_text(text + "\n", encoding="utf-8")
+        _write(args.out, text + "\n")
     else:
         print(text)
     return 0
@@ -168,31 +174,16 @@ def cmd_audit(args) -> int:
     report = audit(args.suite)
     text = report.to_text()
     if args.out:
-        Path(args.out).write_text(text, encoding="utf-8")
+        _write(args.out, text)
     else:
         sys.stdout.write(text)
     if args.json:
-        Path(args.json).write_text(report.to_json() + "\n", encoding="utf-8")
+        _write(args.json, report.to_json() + "\n")
     return 2 if report.failed else 0
 
 
 def cmd_evaluate(args) -> int:
-    raw = _read_document(args.file)
-    if isinstance(raw, bytes):
-        raw = raw.decode("utf-8")
-    try:
-        data = json.loads(raw, parse_int=parse_int)
-    except json.JSONDecodeError as exc:
-        raise MalformedInput(f"invalid log-sum JSON: {exc.msg}") from exc
-    except RecursionError:
-        raise MalformedInput("log-sum JSON nests arrays or objects too deeply") from None
-    if not isinstance(data, dict):
-        raise MalformedInput("log-sum document must be an object {prime: coefficient}")
-    try:
-        terms = {int(k): rat(v) for k, v in data.items()}
-    except ValueError as exc:
-        raise MalformedInput(f"log-sum keys must be integer primes: {exc}") from exc
-    print(evaluate(FormalLogSum(terms), args.digits))
+    print(evaluate(parse_logsum(_read_document(args.file)), args.digits))
     return 0
 
 

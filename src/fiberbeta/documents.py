@@ -1,11 +1,14 @@
-"""Fiber documents: the package's sole input format.
+"""Input documents: a fiber's intersection data, and the log-sum
+{"p": q_p} standing for sum_p q_p log p, which `evaluate` renders.
 
-A fiber document is JSON with a fixed schema: schema_version, name,
-genus, a components array (id, multiplicity, genus, self_intersection),
-an intersections array of {a, b, value} entries, and an optional
-horizontal array of incidence data.  Rationals travel as integers or
-"n/d" strings; float literals are rejected outright (ExactnessError), so
-exactness is preserved end to end.  Unknown fields are rejected.
+Both are JSON read by one strict loader: UTF-8 only, float and non-finite
+literals rejected (ExactnessError), repeated keys and over-long integers
+refused (SchemaError), so exactness is preserved end to end.  A fiber
+document has a fixed schema: schema_version, name, genus, a components
+array (id, multiplicity, genus, self_intersection), an intersections array
+of {a, b, value} entries, and an optional horizontal array of incidence
+data.  Rationals travel as integers or "n/d" strings.  Unknown fields are
+rejected.
 
 Serialization is canonical: fixed key order, components in fiber order,
 intersections sorted by component index with a before b, incidence maps
@@ -23,6 +26,7 @@ from typing import Mapping, Tuple
 
 from .errors import ExactnessError, MalformedInput, SchemaError
 from .fiber import MAX_COMPONENTS, MAX_INTERSECTIONS, Component, HorizontalIncidence, SpecialFiber
+from .logsum import MAX_TERMS, FormalLogSum
 from .rationals import Rat, format_rat, parse_int, rat
 
 SCHEMA_VERSION = 1
@@ -81,27 +85,42 @@ def _expect_rat(value, path: str) -> Rat:
         raise SchemaError(f"{path}: {exc}") from exc
 
 
-def parse_fiber(document) -> Tuple[SpecialFiber, dict]:
-    """Parse a document (bytes or str) into a fiber plus named horizontals."""
+def _load(document):
+    """The JSON value of a document (bytes or str), read strictly."""
     if isinstance(document, (bytes, bytearray)):
         try:
             document = document.decode("utf-8")
         except UnicodeDecodeError as exc:
             raise SchemaError(f"document is not UTF-8: {exc}") from exc
     try:
-        data = json.loads(
+        return json.loads(
             document,
             parse_float=_reject_float,
             parse_int=parse_int,
             parse_constant=_reject_constant,
             object_pairs_hook=_no_duplicate_keys,
         )
-    except ExactnessError:
-        raise
     except json.JSONDecodeError as exc:
         raise SchemaError(f"invalid JSON at line {exc.lineno} column {exc.colno}: {exc.msg}") from exc
     except RecursionError:
         raise SchemaError("document nests arrays or objects too deeply") from None
+
+
+def parse_logsum(document) -> FormalLogSum:
+    """Parse a log-sum document {"p": q_p}: decimal primes, MAX_TERMS at most."""
+    data = _load(document)
+    if not isinstance(data, dict):
+        raise SchemaError("log-sum document must be an object {prime: coefficient}")
+    if len(data) > MAX_TERMS:
+        raise SchemaError(f"log-sum has {len(data)} terms; the limit is {MAX_TERMS}")
+    return FormalLogSum(
+        (parse_int(key) if key.isdecimal() else key, rat(value)) for key, value in data.items()
+    )
+
+
+def parse_fiber(document) -> Tuple[SpecialFiber, dict]:
+    """Parse a document (bytes or str) into a fiber plus named horizontals."""
+    data = _load(document)
     if not isinstance(data, dict):
         raise SchemaError("top level: expected an object")
     _expect_keys(data, _TOP_KEYS, _TOP_KEYS - {"horizontal"}, "top level")

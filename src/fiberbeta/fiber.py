@@ -30,11 +30,13 @@ from .rationals import Rat, ZERO, _integer_rows, _integer_vector, format_rat, ra
 
 #: Most components a fiber may have, whether a catalog generator builds it
 #: or a document (`documents.parse_fiber`) describes it.  The size limits
-#: bound the input and the memory; MAX_ELIMINATION_WORK bounds the time.  At
-#: the size limits, `compute --op beta` on a 128-clique carrying 1872
-#: pendant components (2000 components, 10000 entries) took 17.5 s and 33 MB
-#: peak RSS (fractions backend, one Intel Xeon core); fermat(61,29) takes
-#: about 1 s.
+#: bound the input and the memory, MAX_ELIMINATION_WORK the number of updates,
+#: and none of them the time, which also grows with the entries' size: a
+#: 20-clique needs 2 109 updates, yet with intersection numbers m/(10^D + 7)
+#: `compute --op beta` took 0.35 s at D = 10 and 108.9 s at D = 1000.  At the
+#: size limits, `compute --op beta` on a 128-clique carrying 1872 pendant
+#: components (2000 components, 10000 entries) took 17.5 s and 33 MB peak RSS
+#: (fractions backend, one Intel Xeon core); fermat(61,29) takes about 1 s.
 MAX_COMPONENTS = 2000
 #: Most stored (nonzero, off-diagonal) intersection entries it may have.
 MAX_INTERSECTIONS = 10000

@@ -5,8 +5,9 @@ graph Laplacian whose kernel is spanned by the all-ones vector exactly
 when the fiber is connected.  M is stored as sparse rows, and one sparse
 symmetric elimination, `_eliminate`, serves both exact decompositions.  It
 pivots only on nonzero diagonal entries (fewest stored entries first, ties
-by index, kept in a heap, so runs are bit-deterministic) and leaves behind
-the indices it could not pivot.
+by index, kept in a heap, so runs are bit-deterministic), records one
+step (i, d_i, {j: L_ji}) per pivot, and leaves behind the indices it
+could not pivot.
 
 `pseudoinverse` grounds the last vertex and factors the resulting minor
 as L D L^t (an index left over means rank below r-1).  It returns the
@@ -152,31 +153,30 @@ def build_laplacian(fiber: SpecialFiber) -> RatMatrix:
     return M
 
 
-def _eliminate(work: list, active: set):
+def _eliminate(work: list):
     """Sparse symmetric elimination of the rows in `work`, in place.
 
     `work` holds one {column: nonzero value} dict per row, with a symmetric
-    pattern.  The pivot is the active row with a nonzero diagonal and the
-    fewest stored entries, ties broken by index.  Returns (ops, pivots):
-    ops lists (pivot_index, {j: factor}) in the order applied, pivots the
-    matching (index, pivot_value).  Indices that could not be pivoted stay
-    in `active`; their rows hold the remaining Schur complement, whose
-    diagonal is zero.  A pivot whose row holds k other entries makes k^2
-    updates; past MAX_ELIMINATION_WORK of them in all it raises
+    pattern.  The pivot is the row left with a nonzero diagonal and the
+    fewest stored entries, ties broken by index.  Returns (steps, left):
+    steps lists (i, d_i, {j: L_ji}) in pivot order, left the indices that
+    could not be pivoted; their rows hold the remaining Schur complement,
+    whose diagonal is zero.  A pivot whose row holds k other entries makes
+    k^2 updates; past MAX_ELIMINATION_WORK of them in all it raises
     WorkLimitExceeded.
     """
-    ops = []
-    pivots = []
+    left = set(range(len(work)))
+    steps = []
     work_done = 0
     # (len(row), index) of every pivotable row; an entry that no longer
     # matches its row is stale and skipped, and each row an elimination
     # step touches is pushed again
-    heap = [(len(work[k]), k) for k in active if work[k].get(k)]
+    heap = [(len(row), k) for k, row in enumerate(work) if row.get(k)]
     heapq.heapify(heap)
     while heap:
         n, i = heapq.heappop(heap)
         wi = work[i]
-        if i not in active or len(wi) != n or not wi.get(i):
+        if i not in left or len(wi) != n or not wi.get(i):
             continue
         d = wi[i]
         factors = {}
@@ -185,7 +185,7 @@ def _eliminate(work: list, active: set):
         if work_done > MAX_ELIMINATION_WORK:
             raise WorkLimitExceeded(
                 f"eliminating M needs more than {MAX_ELIMINATION_WORK} entry updates, "
-                f"the limit; stopped after {len(ops)} pivots"
+                f"the limit; stopped after {len(steps)} pivots"
             )
         for j, vij in items:
             f = vij / d
@@ -200,46 +200,43 @@ def _eliminate(work: list, active: set):
             wj.pop(i, None)
             if wj.get(j):
                 heapq.heappush(heap, (len(wj), j))
-        ops.append((i, factors))
-        pivots.append((i, d))
-        active.discard(i)
-    return ops, pivots
+        steps.append((i, d, factors))
+        left.discard(i)
+    return steps, left
 
 
-def _grounded_factor(M: RatMatrix):
-    """Eliminate M without its last row/column; return _eliminate's (ops, pivots).
+def _grounded_factor(M: RatMatrix) -> list:
+    """Eliminate M without its last row/column; return _eliminate's steps.
 
     Raises SingularBeyondKernel when an index cannot be pivoted, which
     under zero row sums and symmetry means ker M is larger than span(1).
     """
     last = M.rows - 1
     work = [{j: x for j, x in row.items() if j != last} for row in M.sparse_rows[:last]]
-    active = set(range(last))
-    ops, pivots = _eliminate(work, active)
-    if active:
+    steps, left = _eliminate(work)
+    if left:
         raise SingularBeyondKernel(
-            f"rank below r-1 (zero pivot at index {min(active)}); fiber is disconnected"
+            f"rank below r-1 (zero pivot at index {min(left)}); fiber is disconnected"
         )
-    return ops, pivots
+    return steps
 
 
-def _grounded_solve(ops, pivots, w) -> list:
+def _grounded_solve(steps, w) -> list:
     """G0 w with G0 the grounded inverse padded by a zero last row/column.
 
     Replays the recorded elimination on w's first r-1 entries; the last
-    entry of the result is zero.
+    entry of the result is zero.  x_i is final once pivot i is reached, so
+    the forward pass divides it by d_i there.
     """
     x = list(w)
     x[-1] = ZERO
-    for i, factors in ops:
+    for i, d, factors in steps:
         xi = x[i]
         if xi:
             for j, f in factors.items():
                 x[j] = x[j] - f * xi
-    for i, d in pivots:
-        if x[i]:
-            x[i] = x[i] / d
-    for i, factors in reversed(ops):
+            x[i] = xi / d
+    for i, _, factors in reversed(steps):
         xi = x[i]
         for j, f in factors.items():
             if x[j]:
@@ -248,11 +245,11 @@ def _grounded_solve(ops, pivots, w) -> list:
     return x
 
 
-def _verify_factor(M: RatMatrix, ops, pivots) -> None:
+def _verify_factor(M: RatMatrix, steps) -> None:
     """L D L^t, summed over the factor's pattern, equals the grounded M exactly."""
     last = M.rows - 1
     ldl = [{} for _ in range(last)]
-    for (i, factors), (_, d) in zip(ops, pivots):
+    for i, d, factors in steps:
         col = [(i, ONE), *factors.items()]
         for j, lj in col:
             dl = d * lj
@@ -265,24 +262,23 @@ def _verify_factor(M: RatMatrix, ops, pivots) -> None:
             raise AssertionError(f"factor certificate: row {j} of L D L^t != grounded M")
 
 
-def _filled_pattern(ops) -> dict:
+def _filled_pattern(steps) -> dict:
     """Per pivot i, the later indices j at which selected inversion computes G_ij.
 
     The numeric factor pattern, closed under the elimination tree (each
     column's pattern joins its parent's), so an entry cancelled to zero
     during elimination still gets its G_ij.
     """
-    rank = {i: k for k, (i, _) in enumerate(ops)}
-    pattern = {i: set(factors) for i, factors in ops}
-    for i, _ in ops:
-        below = pattern[i]
+    rank = {i: k for k, (i, _, _) in enumerate(steps)}
+    pattern = {i: set(factors) for i, _, factors in steps}
+    for below in pattern.values():
         if below:
             parent = min(below, key=rank.__getitem__)
             pattern[parent] |= below - {parent}
     return pattern
 
 
-def _selected_inverse(ops, pivots) -> dict:
+def _selected_inverse(steps) -> dict:
     """G = (grounded M)^-1 on the filled pattern, as {i: {j: G_ij}} per row.
 
     Takahashi-Fagan-Chin recurrences in reverse pivot order, with
@@ -290,9 +286,9 @@ def _selected_inverse(ops, pivots) -> dict:
         G_ji = -sum_k G_jk L_ki  (j later than i),
         G_ii = 1/d - sum_k L_ki G_ki.
     """
-    pattern = _filled_pattern(ops)
+    pattern = _filled_pattern(steps)
     g = {}
-    for (i, factors), (_, d) in zip(reversed(ops), reversed(pivots)):
+    for i, d, factors in reversed(steps):
         gi = {}
         for j in pattern[i]:
             gj = g[j]
@@ -331,14 +327,14 @@ def _verify_selected(M: RatMatrix, g) -> set:
     return partial
 
 
-def _verify_takahashi(ops, pivots, g, partial) -> None:
+def _verify_takahashi(steps, g, partial) -> None:
     """G_ij = G_ji, and on the rows `_verify_selected` could not pin (each
     row j in `partial`) the Takahashi equations (G L)_ji = [j = i]/d_i at
     every stored G_ji with i not after j in pivot order.  With the certified
     factor and the exact rows these fix G on its whole pattern: taken in
     reverse pivot order, each equation reads only entries already fixed."""
     done = set()
-    for (i, factors), (_, d) in zip(ops, pivots):
+    for i, d, factors in steps:
         done.add(i)
         for j, gji in g[i].items():
             if j in done and j != i:
@@ -408,17 +404,16 @@ def _verify_penrose(M: RatMatrix, mp: RatMatrix, trace: Rat) -> None:
 class PseudoinverseResult:
     """M+ of a symmetric zero-row-sum M with kernel span(1), held as a factor.
 
-    The grounded factor (ops, pivots) of M with its last row and column
+    The grounded factor (the elimination steps) of M with its last row and column
     removed gives G0, the grounded inverse padded with zeros, and
     M+ = (I - J/r) G0 (I - J/r).  With y = M+ e_last this reads
     M+_ij = G0_ij + y_i + y_j - y_last, so the diagonal and the edge
     entries need only G on the factor's pattern plus one solve.
     """
 
-    def __init__(self, M: RatMatrix, ops, pivots):
+    def __init__(self, M: RatMatrix, steps):
         self.M = M
-        self._ops = ops
-        self._pivots = pivots
+        self._steps = steps
         self.r = M.rows
         self.rank = self.r - 1 if self.r > 1 else 0
         self.kernel_certificate = ((ONE,) * self.r,)
@@ -436,7 +431,7 @@ class PseudoinverseResult:
         total = sum(W)
         if total:
             W, dw = [r * x - total for x in W], r * dw  # w - mean(w) 1
-        X, dx = _integer_vector(_grounded_solve(self._ops, self._pivots, W))
+        X, dx = _integer_vector(_grounded_solve(self._steps, W))
         total = sum(X)
         Y, dy = [r * x - total for x in X], r * dx * dw  # y = (x - mean(x) 1) / dw
         _verify_solve(self.M, W, dw, Y, dy)
@@ -444,8 +439,8 @@ class PseudoinverseResult:
 
     @cached_property
     def _selected(self) -> dict:
-        g = _selected_inverse(self._ops, self._pivots)
-        _verify_takahashi(self._ops, self._pivots, g, _verify_selected(self.M, g))
+        g = _selected_inverse(self._steps)
+        _verify_takahashi(self._steps, g, _verify_selected(self.M, g))
         return g
 
     @cached_property
@@ -534,9 +529,9 @@ def pseudoinverse(M: RatMatrix) -> PseudoinverseResult:
         raise MalformedInput("pseudoinverse needs a symmetric square matrix")
     if any(s != 0 for s in M.row_sums()):
         raise MalformedInput("pseudoinverse needs zero row sums")
-    ops, pivots = _grounded_factor(M)
-    _verify_factor(M, ops, pivots)
-    return PseudoinverseResult(M, ops, pivots)
+    steps = _grounded_factor(M)
+    _verify_factor(M, steps)
+    return PseudoinverseResult(M, steps)
 
 
 def effective_resistance(P: PseudoinverseResult, i: int, j: int) -> Rat:
@@ -581,10 +576,9 @@ def psd_certificate(M: RatMatrix) -> PsdCertificate:
     if M.rows != M.cols or not M.is_symmetric():
         raise MalformedInput("psd_certificate needs a symmetric square matrix")
     work = [dict(row) for row in M.sparse_rows]
-    active = set(range(M.rows))
-    _, steps = _eliminate(work, active)
-    pivots = tuple(d for _, d in steps)
-    for k in sorted(active):
+    steps, left = _eliminate(work)
+    pivots = tuple(d for _, d, _ in steps)
+    for k in sorted(left):
         if work[k]:
             j, v = min(work[k].items())
             witness = f"indefinite 2x2 minor at ({k},{j}): [[0, {v}], [{v}, 0]]"

@@ -107,19 +107,19 @@ def assert_penrose_sparse(M: fb.RatMatrix, mplus, trace, label: str = "") -> Non
         )
 
 
-def min_degree_eliminate(work: list, active: set):
+def min_degree_eliminate(work: list):
     """The elimination of `linalg._eliminate`, choosing each pivot by a
-    brute-force `min` over every active row (fewest stored entries, ties by
-    index), with the same (ops, pivots) result and in-place effect."""
-    ops, pivots = [], []
+    brute-force `min` over every row left (fewest stored entries, ties by
+    index), with the same (steps, left) result and in-place effect."""
+    steps, left = [], set(range(len(work)))
     while True:
         i = min(
-            (k for k in active if work[k].get(k, 0) != 0),
+            (k for k in left if work[k].get(k, 0) != 0),
             key=lambda k: (len(work[k]), k),
             default=None,
         )
         if i is None:
-            return ops, pivots
+            return steps, left
         d = work[i][i]
         items = [(k, v) for k, v in work[i].items() if k != i]
         factors = {}
@@ -132,9 +132,8 @@ def min_degree_eliminate(work: list, active: set):
                 else:
                     work[j].pop(k, None)
             work[j].pop(i, None)
-        ops.append((i, factors))
-        pivots.append((i, d))
-        active.discard(i)
+        steps.append((i, d, factors))
+        left.discard(i)
 
 
 def fraction_inverse(rows):

@@ -250,6 +250,53 @@ def test_evaluate_rejects_composite_keys(tmp_path, capsys):
     assert err == "error: log-sum key must be an integer prime, got 4\n"
 
 
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        (b'{"5": "1", "5": "2"}', "duplicate object key(s): ['5']"),
+        (b'{"5": "1\xff"}', "document is not UTF-8: "),
+        (b'{"5": 1.5}', "float literal '1.5' rejected"),
+    ],
+)
+def test_evaluate_reads_log_sums_as_strictly_as_fibers(tmp_path, capsys, text, message):
+    doc = tmp_path / "sum.json"
+    doc.write_bytes(text)
+    code, out, err = run(capsys, "evaluate", str(doc), "--digits", "4")
+    assert code == 1 and out == ""
+    assert err.startswith(f"error: {message}") and err.count("\n") == 1
+
+
+def test_evaluate_terms_up_to_the_limit(tmp_path, capsys):
+    limit = fb.logsum.MAX_TERMS
+    primes = [p for p in range(2, 10**4) if fb.logsum.is_prime(p)][:limit]
+    doc = tmp_path / "sum.json"
+    doc.write_text(json.dumps({str(p): "1/3" for p in primes}), encoding="utf-8")
+    code, out, err = run(capsys, "evaluate", str(doc), "--digits", "4")
+    assert code == 0 and err == ""
+    assert out == fb.evaluate(fb.FormalLogSum({p: fb.rat(1, 3) for p in primes}), 4) + "\n"
+    # one term more is refused before any key is tested: these are composite
+    doc.write_text(json.dumps({str(4 * k): 1 for k in range(1, limit + 2)}), encoding="utf-8")
+    code, out, err = run(capsys, "evaluate", str(doc), "--digits", "4")
+    assert code == 1 and out == ""
+    assert err == f"error: log-sum has {limit + 1} terms; the limit is {limit}\n"
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["validate", "{tmp}"], "cannot read {tmp}: "),
+        (["catalog", "emit", "banana", "--params", "1,1,1", "--out", "{tmp}/missing/x.json"],
+         "cannot write {tmp}/missing/x.json: "),
+        (["audit", "--suite", "x1n", "--out", "{tmp}/missing/x.txt"], "cannot write {tmp}/missing/x.txt: "),
+    ],
+)
+def test_file_errors_end_in_one_error_line(tmp_path, capsys, argv, message):
+    argv = [arg.format(tmp=tmp_path) for arg in argv]
+    code, out, err = run(capsys, *argv)
+    assert code == 1 and out == ""
+    assert err.startswith("error: " + message.format(tmp=tmp_path)) and err.count("\n") == 1
+
+
 @pytest.mark.parametrize("command", ["validate", "compute"])
 @pytest.mark.parametrize("extra", [{"extra_components": 1}, {"extra_entries": 1}])
 def test_oversized_documents_exit_one(tmp_path, capsys, command, extra):

@@ -342,9 +342,9 @@ def test_factored_path_survives_cancelled_fill():
             P = fb.pseudoinverse(M)
         except SingularBeyondKernel:
             continue
-        ops, _ = linalg._grounded_factor(M)
-        pattern = linalg._filled_pattern(ops)
-        cancelled += any(set(factors) != pattern[i] for i, factors in ops)
+        steps = linalg._grounded_factor(M)
+        pattern = linalg._filled_pattern(steps)
+        cancelled += any(set(factors) != pattern[i] for i, _, factors in steps)
         assert_factored_equals_dense(M, P, rng)
     assert cancelled >= 5
 
@@ -361,8 +361,7 @@ def test_factored_certificates_reject_tampering(fermat72, monkeypatch):
         return wrapper
 
     def bump_factor(out):
-        ops, _ = out
-        i, factors = next((i, f) for i, f in ops if f)
+        factors = next(f for _, _, f in out if f)
         j = next(iter(factors))
         factors[j] += d
 
@@ -410,11 +409,10 @@ def test_selected_inverse_certificate_catches_a_wrong_factor(kind, params):
     # which reads M, can tell
     fiber = fb.fermat_fiber(*params) if kind == "fermat" else fb.genus2_type(kind, params)
     M = fb.build_laplacian(fiber)
-    ops, pivots = linalg._grounded_factor(M)
-    ops = [(i, dict(factors)) for i, factors in ops]
-    factors = next(factors for _, factors in ops if factors)
+    steps = [(i, d, dict(factors)) for i, d, factors in linalg._grounded_factor(M)]
+    factors = next(factors for _, _, factors in steps if factors)
     factors[next(iter(factors))] += rat(1, 11)
-    P = linalg.PseudoinverseResult(M, ops, pivots)
+    P = linalg.PseudoinverseResult(M, steps)
     with pytest.raises(AssertionError, match="selected inverse certificate"):
         P._selected
 
@@ -563,12 +561,11 @@ def test_streamed_resistance_table_equals_dense_on_random_fibers(seed, reduced):
 
 
 def assert_same_elimination(work, monkeypatch, M=None):
-    """The pivot heap gives the brute-force min rule's (ops, pivots) and
-    leftovers on `work`, and, for a matrix M, the same psd_certificate."""
+    """The pivot heap gives the brute-force min rule's (steps, left) and
+    leftover rows on `work`, and, for a matrix M, the same psd_certificate."""
     copy = [dict(row) for row in work]
-    active, oracle_active = set(range(len(work))), set(range(len(work)))
-    assert linalg._eliminate(work, active) == min_degree_eliminate(copy, oracle_active)
-    assert (work, active) == (copy, oracle_active)
+    assert linalg._eliminate(work) == min_degree_eliminate(copy)
+    assert work == copy
     if M is not None:
         cert = fb.psd_certificate(M)
         with monkeypatch.context() as m:
