@@ -19,7 +19,7 @@ Takahashi-Fagan-Chin recurrences over the factor's filled pattern
 of M+, one solve, as do the rows streamed by `resistance_rows`.  Each piece
 carries an exact certificate that costs about as much as the work it checks:
 
-- the factor: L D L^t equals the grounded M entry for entry;
+- the factor: L D L^t equals the grounded M entry for entry, over integers;
 - the selected inverse: (G M)_ij = [i = j], read from M, at each stored
   G_ij whose column j of M lies in row i's pattern (every diagonal entry
   does), which pins each row where every stored entry qualifies; every
@@ -47,6 +47,26 @@ is put over one common denominator (`rationals._integer_vector`, the lcm
 of its denominators), M over one scale once (`RatMatrix.integer_rows`),
 and each identity is multiplied through by these scales, so a check is
 plain integer multiply-adds (`_integer_matvec`) with no gcd per step.
+
+The two replays of the factor that cost the most run over integers too.
+The factor is turned once into integer columns (`_integer_columns`):
+(i, dn_i, dd_i, c_i, [(j, F_ji)]) with d_i = dn_i / dd_i, L_ji = F_ji / c_i
+and c_i the lcm of column i's denominators.  `_verify_factor` certifies
+exactly these columns, and `_grounded_solve` replays them with a gcd per
+pivot, not per entry:
+
+- forward, the pending entries share one denominator t; at pivot i, when
+  c_i does not divide Z_i, they and t are scaled by c_i / gcd(c_i, Z_i),
+  so each update Z_j -= F_ji (Z_i / c_i) is exact;
+- backward, the finished entries share one denominator s; x_i, once
+  reduced, scales them and s by whatever denominator it has beyond s, so
+  s ends as the lcm of the solution's denominators.
+
+This is not fraction-free (Bareiss) elimination: the elimination itself,
+the selected inverse and its Takahashi check stay in Fraction, and the
+common denominators are those of the exact values (s has at most 13 bits
+on VII(50,50,51) and 7 on fermat(61,29)), where Bareiss minors of a clique
+Laplacian grow to about 1000 bits at r = 139.
 
 `psd_certificate` eliminates the whole matrix: the verdict is the pivot
 signs, and a leftover nonzero off-diagonal entry is an indefinite 2x2 minor.
@@ -221,43 +241,92 @@ def _grounded_factor(M: RatMatrix) -> list:
     return steps
 
 
-def _grounded_solve(steps, w) -> list:
-    """G0 w with G0 the grounded inverse padded by a zero last row/column.
+def _integer_columns(steps) -> list:
+    """The factor over integers: (i, dn_i, dd_i, c_i, [(j, F_ji)]) per step,
+    with d_i = dn_i / dd_i, L_ji = F_ji / c_i and c_i the lcm of the
+    denominators in column i, all plain ints."""
+    columns = []
+    for i, d, factors in steps:
+        c = math.lcm(*(int(f.denominator) for f in factors.values()))
+        col = [(j, int(f.numerator) * (c // int(f.denominator))) for j, f in factors.items()]
+        columns.append((i, int(d.numerator), int(d.denominator), c, col))
+    return columns
 
-    Replays the recorded elimination on w's first r-1 entries; the last
-    entry of the result is zero.  x_i is final once pivot i is reached, so
-    the forward pass divides it by d_i there.
+
+def _grounded_solve(columns, W) -> tuple:
+    """(X, s) with G0 W = X / s for integers W, G0 the grounded inverse
+    padded by a zero last row/column, and s the lcm of the denominators.
+
+    The forward pass keeps the pending nonzero entries z = Z / t; at pivot
+    i it scales them and t by c_i / gcd(c_i, Z_i) when c_i does not divide
+    Z_i, so that z_j -= L_ji z_i is Z_j -= F_ji (Z_i / c_i), and it records
+    u_i = z_i / d_i.  The backward pass reads x_i = u_i - sum_j L_ji x_j
+    over the finished X / s and scales them by whatever denominator x_i
+    has beyond s, so gcd(s, X) stays 1 and s ends as the lcm.
     """
-    x = list(w)
-    x[-1] = ZERO
-    for i, d, factors in steps:
-        xi = x[i]
-        if xi:
-            for j, f in factors.items():
-                x[j] = x[j] - f * xi
-            x[i] = xi / d
-    for i, _, factors in reversed(steps):
-        xi = x[i]
-        for j, f in factors.items():
-            if x[j]:
-                xi = xi - f * x[j]
-        x[i] = xi
-    return x
+    pending = {j: int(x) for j, x in enumerate(W[:-1]) if x}
+    t = 1
+    u = []
+    for i, dn, dd, c, col in columns:
+        z = pending.pop(i, 0)
+        if not z:
+            u.append((0, 1))
+            continue
+        if z % c:
+            q = c // math.gcd(c, z)
+            for j in pending:
+                pending[j] *= q
+            z *= q
+            t *= q
+        k = z // c
+        for j, f in col:
+            pending[j] = pending.get(j, 0) - f * k
+        num, den = z * dd, t * dn
+        if den < 0:
+            num, den = -num, -den
+        g = math.gcd(num, den)
+        u.append((num // g, den // g))
+    X = [0] * len(W)
+    s = 1
+    for (i, _, _, c, col), (un, ud) in zip(reversed(columns), reversed(u)):
+        num = s * un * c - sum([f * X[j] for j, f in col]) * ud
+        den = ud * c
+        if den != 1:
+            g = math.gcd(num, den)
+            num //= g
+            if g != den:
+                den //= g
+                s *= den
+                X = [x * den for x in X]
+        X[i] = num
+    return X, s
 
 
-def _verify_factor(M: RatMatrix, steps) -> None:
-    """L D L^t, summed over the factor's pattern, equals the grounded M exactly."""
+def _verify_factor(M: RatMatrix, columns) -> None:
+    """L D L^t, summed over the factor's pattern, equals the grounded M exactly.
+
+    Over integers, for the columns (i, dn_i, dd_i, c_i, F) the solves read
+    and M = A / a: with e_j the lcm of dd_i c_i^2 over the columns i that
+    hold row j (column i holds i, with F_ii = c_i),
+    sum_i dn_i F_ji F_ki (e_j a / (dd_i c_i^2)) = e_j A_jk.
+    """
+    rows, a = M.integer_rows
+    a = int(a)
     last = M.rows - 1
+    full = [(dn, dd * c * c, [(i, c), *col]) for i, dn, dd, c, col in columns]
+    e = [1] * last
+    for _, w, col in full:
+        for j, _ in col:
+            e[j] = math.lcm(e[j], w)
     ldl = [{} for _ in range(last)]
-    for i, d, factors in steps:
-        col = [(i, ONE), *factors.items()]
-        for j, lj in col:
-            dl = d * lj
+    for dn, w, col in full:
+        for j, fj in col:
+            scale = dn * fj * (e[j] * a // w)
             row = ldl[j]
-            for k, lk in col:
-                row[k] = row.get(k, ZERO) + dl * lk
+            for k, fk in col:
+                row[k] = row.get(k, 0) + scale * fk
     for j in range(last):
-        want = {k: x for k, x in M.sparse_rows[j].items() if k != last}
+        want = {k: x * e[j] for k, x in rows[j] if k != last}
         if {k: v for k, v in ldl[j].items() if v} != want:
             raise AssertionError(f"factor certificate: row {j} of L D L^t != grounded M")
 
@@ -414,6 +483,7 @@ class PseudoinverseResult:
     def __init__(self, M: RatMatrix, steps):
         self.M = M
         self._steps = steps
+        self._columns = _integer_columns(steps)
         self.r = M.rows
         self.rank = self.r - 1 if self.r > 1 else 0
         self.kernel_certificate = ((ONE,) * self.r,)
@@ -431,7 +501,7 @@ class PseudoinverseResult:
         total = sum(W)
         if total:
             W, dw = [r * x - total for x in W], r * dw  # w - mean(w) 1
-        X, dx = _integer_vector(_grounded_solve(self._steps, W))
+        X, dx = _grounded_solve(self._columns, W)
         total = sum(X)
         Y, dy = [r * x - total for x in X], r * dx * dw  # y = (x - mean(x) 1) / dw
         _verify_solve(self.M, W, dw, Y, dy)
@@ -529,9 +599,9 @@ def pseudoinverse(M: RatMatrix) -> PseudoinverseResult:
         raise MalformedInput("pseudoinverse needs a symmetric square matrix")
     if any(s != 0 for s in M.row_sums()):
         raise MalformedInput("pseudoinverse needs zero row sums")
-    steps = _grounded_factor(M)
-    _verify_factor(M, steps)
-    return PseudoinverseResult(M, steps)
+    P = PseudoinverseResult(M, _grounded_factor(M))
+    _verify_factor(M, P._columns)
+    return P
 
 
 def effective_resistance(P: PseudoinverseResult, i: int, j: int) -> Rat:

@@ -105,17 +105,26 @@ class FormalLogSum:
             total += mpmath.mpf(int(c.numerator)) * mpmath.log(p) / int(c.denominator)
         return total
 
+    def integer_digits(self) -> int:
+        """Decimal digits of a bound on |value|: sum |q_p| bitlength(p) > sum |q_p| log p."""
+        bound = sum(
+            abs(int(c.numerator)) * p.bit_length() // int(c.denominator) + 1 for p, c in self.terms
+        )
+        return len(_int_text(bound))
+
     def __str__(self) -> str:
         if not self.terms:
             return "0"
         return " + ".join(f"{format_rat(c)}*log({p})" for p, c in self.terms)
 
 
-def rounded_decimal(value, digits: int) -> str:
+def rounded_decimal(value, digits: int, integer_digits: int = 0) -> str:
     """`digits` correctly rounded places of value(), an mpmath expression
-    that is re-evaluated at a higher working precision until they settle."""
+    that is re-evaluated at a higher working precision until they settle.
+    `integer_digits` bounds the length of the value's integer part, so the
+    first working precision already covers it."""
     rounded = None
-    dps = digits + 25
+    dps = digits + integer_digits + 25
     while True:
         with mpmath.workdps(dps):
             candidate = int(mpmath.nint(value() * mpmath.power(10, digits)))
@@ -136,7 +145,7 @@ def evaluate(logsum: FormalLogSum, digits: int) -> str:
         raise MalformedInput(f"digits past {MAX_DIGITS} are not rendered, got {digits}")
     if logsum.is_zero():
         return "0"
-    return rounded_decimal(logsum.to_mpf, digits)
+    return rounded_decimal(logsum.to_mpf, digits, logsum.integer_digits())
 
 
 @dataclass(frozen=True)

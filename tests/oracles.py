@@ -136,6 +136,29 @@ def min_degree_eliminate(work: list):
         left.discard(i)
 
 
+def fraction_grounded_solve(steps, w):
+    """G0 w by replaying the grounded factor's steps (i, d_i, {j: L_ji}) in
+    Fraction arithmetic, one gcd per multiply-add: the reference for the
+    engine's integer replay.  Returns (x, forward) with forward[i] the value
+    the forward pass meets at pivot i, before it divides by d_i."""
+    x = list(w)
+    x[-1] = 0
+    forward = {}
+    for i, d, factors in steps:
+        xi = forward[i] = x[i]
+        if xi:
+            for j, f in factors.items():
+                x[j] = x[j] - f * xi
+            x[i] = xi / d
+    for i, _, factors in reversed(steps):
+        xi = x[i]
+        for j, f in factors.items():
+            if x[j]:
+                xi = xi - f * x[j]
+        x[i] = xi
+    return x, forward
+
+
 def fraction_inverse(rows):
     """Gauss-Jordan inverse over Fraction; raises ZeroDivisionError if singular."""
     n = len(rows)

@@ -11,10 +11,12 @@ from hypothesis import strategies as st
 
 import fiberbeta as fb
 from fiberbeta import MalformedInput, RatMatrix, SingularBeyondKernel, WorkLimitExceeded, cli, linalg, rat
+from fiberbeta.rationals import _integer_vector
 
 from oracles import (
     assert_penrose_sparse,
     bordered_pseudoinverse,
+    fraction_grounded_solve,
     min_degree_eliminate,
     object_matrix,
     psd_by_principal_minors,
@@ -392,14 +394,57 @@ def test_factored_certificates_reject_tampering(fermat72, monkeypatch):
             with pytest.raises(AssertionError, match="Foster certificate"):
                 fb.pseudoinverse(M).edge_entries()
 
-    def bump_solve(x):
-        x[0] += d
+    def bump_column(columns):
+        col = next(column[4] for column in columns if column[4])
+        col[0] = (col[0][0], col[0][1] + 1)
+
+    def bump_lcm(columns):
+        k = next(k for k, column in enumerate(columns) if column[4])
+        i, dn, dd, c, col = columns[k]
+        columns[k] = (i, dn, dd, c + 1, col)
+
+    for change in (bump_column, bump_lcm):
+        with monkeypatch.context() as m:
+            m.setattr(linalg, "_integer_columns", tampered(linalg._integer_columns, change))
+            with pytest.raises(AssertionError, match="factor certificate"):
+                fb.pseudoinverse(M)
+
+    def bump_solve(out):
+        X, _ = out
+        X[0] += 1
 
     with monkeypatch.context() as m:
         m.setattr(linalg, "_grounded_solve", tampered(linalg._grounded_solve, bump_solve))
         P = fb.pseudoinverse(M)
         with pytest.raises(AssertionError, match="solve certificate"):
             P.solve([rat(1)] + [rat(0)] * (M.rows - 1))
+
+
+def test_integer_replay_equals_the_fraction_replay(battery):
+    # (X, s) is the Fraction replay's G0 w over the lcm of its denominators,
+    # on unit, dense random and zero right-hand sides; a non-integer value
+    # met at a pivot means the forward pass rescaled, s > 1 the backward
+    rng = random.Random(14)
+    matrices = [prepared.M for prepared in battery] + [
+        fb.build_laplacian(fb.genus2_type("VII", (50, 50, 51))),
+        fb.build_laplacian(fb.fermat_fiber(31, 14)),
+    ]
+    rescaled = set()
+    for M in matrices:
+        P = fb.pseudoinverse(M)
+        r = M.rows
+        units = range(r) if r <= 40 else (0, r // 2, r - 2, r - 1)
+        rhs = [[int(k == c) for k in range(r)] for c in units]
+        rhs += [[rng.randint(-9, 9) for _ in range(r)] for _ in range(2)] + [[0] * r]
+        for W in rhs:
+            X, s = linalg._grounded_solve(P._columns, W)
+            x, forward = fraction_grounded_solve(P._steps, W)
+            assert (X, s) == _integer_vector(x)
+            if any(z.denominator != 1 for z in forward.values()):
+                rescaled.add("forward")
+            if s != 1:
+                rescaled.add("backward")
+    assert rescaled == {"forward", "backward"}
 
 
 @pytest.mark.parametrize("kind, params", [("fermat", (7, 2)), ("VII", (2, 3, 4)), ("fermat", (13, 0))])

@@ -46,6 +46,20 @@ def test_evaluate_past_the_int_to_string_limit_matches_mpmath():
         fb.evaluate(s, fb.logsum.MAX_DIGITS + 1)
 
 
+def test_evaluate_starts_past_a_long_integer_part(monkeypatch):
+    # 7...7 log 5 has 4001 integer digits: the first working precision
+    # covers them, so two evaluations settle the rounding
+    s = FormalLogSum({5: 7 * (10**4000 - 1) // 9})
+    calls = []
+    to_mpf = FormalLogSum.to_mpf
+    monkeypatch.setattr(FormalLogSum, "to_mpf", lambda self: calls.append(1) or to_mpf(self))
+    got = fb.evaluate(s, 100)
+    assert len(calls) <= 2
+    with mpmath.workdps(4200):
+        want = int(mpmath.nint(to_mpf(s) * mpmath.power(10, 100)))
+    assert got == f"{str(want)[:-100]}.{str(want)[-100:]}"
+
+
 def test_global_beta_examples(single_component):
     one = GlobalModel(
         name="one-place",
